@@ -4,7 +4,7 @@ Commands: elim, eval, interpolate, entails, check, gnf, selftest.  Input is
 a UTF-8 file in the quantity grammar (or a JSON AST, detected by a leading
 "{"); ``-`` or no file reads stdin.  Exit codes: 0 success, 1 parse error,
 2 well-formedness violation, 3 missing variable binding, 4 failed
-entailment.
+entailment, 5 input not readable.
 """
 
 from __future__ import annotations
@@ -28,14 +28,22 @@ EXIT_PARSE = 1
 EXIT_ILL_FORMED = 2
 EXIT_MISSING_VAR = 3
 EXIT_NOT_ENTAILED = 4
+EXIT_UNREADABLE = 5
+
+
+class InputUnreadable(Exception):
+    """An input file could not be opened or decoded."""
 
 
 def _read_quantity(path: str | None) -> Quantity:
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputUnreadable(str(exc)) from exc
     if text.lstrip().startswith("{"):
         return quantity_from_json(json.loads(text))
     return parse_quantity(text)
@@ -55,7 +63,10 @@ def _parse_sigma(spec: str) -> Valuation:
             name, _, value = piece.partition("=")
             if not value:
                 raise ParseError(f"bad binding {piece!r}, expected var=value", 1, 1)
-            bindings[name.strip()] = Fraction(value.strip())
+            try:
+                bindings[name.strip()] = Fraction(value.strip())
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad value in binding {piece!r}", 1, 1) from None
     return Valuation(bindings)
 
 
@@ -238,6 +249,9 @@ def main(argv=None) -> int:
     except NotEntailed as exc:
         print(f"not an entailment: {exc}", file=sys.stderr)
         return EXIT_NOT_ENTAILED
+    except InputUnreadable as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
+        return EXIT_UNREADABLE
 
 
 if __name__ == "__main__":

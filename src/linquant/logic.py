@@ -424,17 +424,6 @@ def bool_sat(phi: BoolExpr) -> bool:
     return bool(to_dnf(phi))
 
 
-def canonical_hyperplane(atom: Atom) -> LinExpr | None:
-    """The atom's boundary hyperplane as a canonical expression.
-
-    Returns a difference expression scaled so its lexicographically first
-    variable has coefficient one (None for atoms without a boundary, i.e.
-    foldable ones).  Atoms over the same hyperplane canonicalize equally.
-    """
-    plane = atom_plane(atom)
-    return plane[1] if plane[0] == "plane" else None
-
-
 @lru_cache(maxsize=1 << 16)
 def atom_plane(atom: Atom):
     """Decompose an atom into its canonical hyperplane and orientation.

@@ -16,11 +16,11 @@ from .logic import (
     dnf_to_bool,
     eval_signs,
     fold_atom,
+    guard_disjuncts,
     guard_planes,
     isolate,
     reduce_disjunct,
     refine_dnf,
-    to_dnf,
 )
 from .terms import (
     FALSE,
@@ -156,12 +156,13 @@ def is_partitioning(body: Body) -> bool:
 def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     """DNF the guard, isolating ``var`` and folding decidable atoms.
 
+    Guards already in DNF shape are split directly; others are converted.
     Disjuncts are reduced to minimal equivalent form and deduplicated,
     which keeps later per-disjunct eliminations from multiplying.
     """
     disjuncts = []
     seen: set[frozenset] = set()
-    for d in to_dnf(guard):
+    for d in guard_disjuncts(guard):
         atoms = []
         dead = False
         for atom in d:

@@ -101,12 +101,3 @@ def ext_cmp(a: ExtRat, b: ExtRat) -> int:
     if a.value == b.value:
         return 0
     return -1 if a.value < b.value else 1
-
-
-def format_rational(q: Rational) -> str:
-    """Render as ``n`` or ``n/d`` (``-n/d`` when negative)."""
-    return str(Fraction(q))
-
-
-def parse_rational(text: str) -> Rational:
-    return Fraction(text)

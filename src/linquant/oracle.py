@@ -51,13 +51,6 @@ def eval_quantity(valuation: Valuation, body) -> ExtRat:
     return total
 
 
-def eval_closed(valuation: Valuation, q: Quantity) -> ExtRat:
-    """Evaluate a quantifier-free quantity."""
-    if q.prefix:
-        raise ValueError("quantity still carries quantifiers")
-    return eval_quantity(valuation, q.body)
-
-
 # One-variable suprema by region decomposition ------------------------------
 
 

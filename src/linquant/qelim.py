@@ -10,7 +10,9 @@ the guarded-normal-form body in three layers:
   greatest lower bound, and an infinity-aware substitution of the chosen
   bound into the value expression;
 * recombine everything with a pointwise maximum (for sup) or minimum (for
-  inf) of partitioning bodies.
+  inf) of partitioning bodies.  Each output cell is emitted as a
+  disjunction of conjunctions of atoms (the reduced DNF the combination
+  already holds), which the next round splits without re-normalising.
 
 All constructions prune guards that Fourier-Motzkin refutes; this keeps
 outputs near their simplified forms without changing semantics.
@@ -253,9 +255,9 @@ def _pointwise_extreme(bodies: list[Body], maximum: bool, check: bool) -> Body:
     nonstrict = Rel.GE if maximum else Rel.LE
     out: list[GuardedTerm] = []
 
-    def emit(chosen: list[GuardedTerm], state: list[Disjunct]) -> None:
-        values = [t.value for t in chosen]
-        base = and_all(t.guard for t in chosen)
+    def emit(values: list[ExtLinExpr], state: list[Disjunct]) -> None:
+        # ``state`` is the reduced DNF of the chosen guards' conjunction, so
+        # each cell is emitted as a disjunction of conjunctions of atoms
         for i in range(n):
             ties: list[Atom] = []
             dead = False
@@ -268,17 +270,22 @@ def _pointwise_extreme(bodies: list[Body], maximum: bool, check: bool) -> Body:
                     break
             if dead:
                 continue
-            if ties and not any(
-                disjunct_sat(Disjunct(d.atoms + tuple(a for a in ties if a not in d.atoms)))
-                for d in state
-            ):
-                continue
-            guard = and_all([base, *ties]) if ties else base
-            out.append(GuardedTerm(guard, values[i]))
+            live = state
+            if ties:
+                live = []
+                seen: set[frozenset] = set()
+                for d in state:
+                    cell = Disjunct(d.atoms + tuple(a for a in ties if a not in d.atoms))
+                    key = frozenset(cell.atoms)
+                    if key not in seen and disjunct_sat(cell):
+                        seen.add(key)
+                        live.append(cell)
+            if live:
+                out.append(GuardedTerm(dnf_to_bool(live), values[i]))
 
     # explicit stack: the recursion depth would otherwise grow with the
     # number of bodies, which can reach the hundreds on later rounds
-    stack: list[tuple[int, list[Disjunct], tuple[GuardedTerm, ...]]] = [
+    stack: list[tuple[int, list[Disjunct], tuple[ExtLinExpr, ...]]] = [
         (0, [Disjunct()], ())
     ]
     while stack:
@@ -289,14 +296,18 @@ def _pointwise_extreme(bodies: list[Body], maximum: bool, check: bool) -> Body:
         for term in reversed(bodies[k]):  # reversed: pop order matches body order
             refined = refine_dnf(state, term.guard)
             if refined:
-                stack.append((k + 1, refined, chosen + (term,)))
+                stack.append((k + 1, refined, chosen + (term.value,)))
     assert out, "pointwise extreme of covering bodies cannot be empty"
     return tuple(out)
 
 
 def pointwise_max(bodies, *, check: bool = True) -> Body:
     """A partitioning body evaluating to the valuation-wise maximum of the
-    given partitioning bodies (ties go to the earliest body)."""
+    given partitioning bodies (ties go to the earliest body).
+
+    Every output guard is a disjunction of satisfiable conjunctions of
+    atoms: the reduced DNF of the chosen input guards plus the tie atoms.
+    """
     return _pointwise_extreme([tuple(b) for b in bodies], maximum=True, check=check)
 
 
@@ -345,9 +356,12 @@ def eliminate(q: Quantity, *, simplify: bool = False, jobs: int = 1) -> Quantity
     """Remove every quantifier, innermost first; the result is equivalent.
 
     Bodies between rounds stay partitioning; terms with equal values are
-    merged between rounds to curb growth.  The optional ``simplify`` pass
-    additionally drops zero-valued and unsatisfiable terms from the final
-    result (still semantics-preserving, but no longer partitioning).
+    merged between rounds to curb growth.  Combination emits each output
+    cell as a disjunction of conjunctions of atoms, so the next round's
+    normal form splits those guards without re-normalising them.  The
+    optional ``simplify`` pass additionally drops zero-valued and
+    unsatisfiable terms from the final result (still semantics-preserving,
+    but no longer partitioning).
     """
     violation = check_well_formed(q)
     if violation is not None:

@@ -10,15 +10,12 @@ and used as cache keys.
 from __future__ import annotations
 
 import enum
-import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingVariable
 from .numerics import NEG_INF, POS_INF, ExtRat, Rational
-
-VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _ZERO = Fraction(0)
 
@@ -145,9 +142,6 @@ class LinExpr:
         if self.constant or not parts:
             parts.append(str(self.constant))
         return "LinExpr(" + " + ".join(parts) + ")"
-
-
-ZERO_EXPR = LinExpr(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,10 +326,6 @@ class Quantity:
         names = [v for _, v in self.prefix]
         if len(names) != len(set(names)):
             raise ValueError("duplicate variable in quantifier prefix")
-
-    @property
-    def is_quantifier_free(self) -> bool:
-        return not self.prefix
 
 
 class Valuation(Mapping):

@@ -51,6 +51,12 @@ class TestElim:
         assert code == 2
         assert "0 and 1" in err
 
+    def test_missing_file_exit_code(self, tmp_path, capsys):
+        code, out, err = run(capsys, "elim", str(tmp_path / "absent.lq"))
+        assert code == 5
+        assert out == ""
+        assert err.startswith("cannot read input:") and err.count("\n") == 1
+
     def test_json_output(self, files, capsys):
         path = files("qf.lq", "[x >= 1/2] * oo")
         code, out, _ = run(capsys, "elim", path, "--json")
@@ -94,6 +100,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", path, "--sigma", "")
         assert code == 3
         assert "missing binding" in err
+
+    def test_bad_sigma_value(self, files, capsys):
+        path = files("qf.lq", "[x > 0] * 1")
+        code, _, err = run(capsys, "eval", path, "--sigma", "x=abc")
+        assert code == 1
+        assert err.startswith("parse error") and "x=abc" in err
 
     def test_rational_output(self, files, capsys):
         path = files("qf.lq", "[true] * (5/3)")

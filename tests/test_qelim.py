@@ -39,10 +39,20 @@ from linquant import (
     width,
 )
 from linquant.errors import NotIsolated, NotPartitioning, WellFormednessViolation
-from linquant.logic import atom_eval, bool_eval
+from linquant.logic import atom_eval, bool_eval, disjunct_sat
 from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
-from linquant.terms import FALSE, TRUE, Atom, Rel, TrueExpr, Valuation, fvars_body
+from linquant.terms import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Or,
+    Rel,
+    TrueExpr,
+    Valuation,
+    fvars_body,
+)
 
 from conftest import atom, lin, val
 
@@ -273,6 +283,25 @@ class TestEliminateOverDisjunct:
         assert is_partitioning(out)
 
 
+def dnf_split(guard):
+    """Disjuncts of an Or-chain of And-chains of atoms (``true`` is the
+    empty conjunction); None for any other shape."""
+    if isinstance(guard, Or):
+        left, right = dnf_split(guard.lhs), dnf_split(guard.rhs)
+        return None if left is None or right is None else left + right
+
+    def conj(node):
+        if isinstance(node, Atom):
+            return (node,)
+        if isinstance(node, And):
+            a, b = conj(node.lhs), conj(node.rhs)
+            return None if a is None or b is None else a + b
+        return None
+
+    atoms = () if isinstance(guard, TrueExpr) else conj(guard)
+    return None if atoms is None else [Disjunct(atoms)]
+
+
 class TestPointwiseMaxMin:
     def test_singleton_identity(self):
         body = parse_body("[x >= 0] * 1 + [x < 0] * 2")
@@ -316,6 +345,10 @@ class TestPointwiseMaxMin:
                 from linquant import is_partitioning
 
                 assert is_partitioning(out)
+                for term in out:  # each cell comes out as a DNF of live disjuncts
+                    disjuncts = dnf_split(term.guard)
+                    assert disjuncts is not None, term.guard
+                    assert all(disjunct_sat(d) for d in disjuncts)
                 variables = sorted(set().union(*(fvars_body(b) for b in bodies)))
                 for _ in range(25):
                     sigma = Valuation(
