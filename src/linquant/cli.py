@@ -2,9 +2,10 @@
 
 Commands: elim, eval, interpolate, entails, check, gnf, selftest.  Input is
 a UTF-8 file in the quantity grammar (or a JSON AST, detected by a leading
-"{"); ``-`` or no file reads stdin.  Exit codes: 0 success, 1 parse error,
-2 well-formedness violation, 3 missing variable binding, 4 failed
-entailment, 5 input not readable.
+"{"); ``-`` or no file reads stdin.  Exit codes: 0 success, 1 parse error
+(also a malformed JSON AST or too deep nesting), 2 well-formedness
+violation, 3 missing variable binding, 4 failed entailment, 5 input not
+readable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import MissingVariable, NotEntailed, ParseError, WellFormednessViolation
+from .errors import (
+    LinquantError,
+    MissingVariable,
+    NotEntailed,
+    ParseError,
+    WellFormednessViolation,
+)
 from .interpolate import entails, strongest_interpolant, weakest_interpolant
 from .normalform import check_well_formed, to_gnf
 from .oracle import GenParams, eval_quantity, oracle_inf, oracle_sup, random_quantity
@@ -45,8 +52,22 @@ def _read_quantity(path: str | None) -> Quantity:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputUnreadable(str(exc)) from exc
     if text.lstrip().startswith("{"):
-        return quantity_from_json(json.loads(text))
+        return _quantity_from_json_text(text)
     return parse_quantity(text)
+
+
+def _quantity_from_json_text(text: str) -> Quantity:
+    """Decode a JSON AST; any malformed input is a one-line ParseError."""
+    try:
+        return quantity_from_json(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except KeyError as exc:
+        raise ParseError(f"malformed JSON AST: missing key {exc}", 1, 1) from None
+    except RecursionError:
+        raise ParseError("nesting too deep", 1, 1) from None
+    except (LinquantError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed JSON AST: {exc}", 1, 1) from None
 
 
 def _emit(q: Quantity, as_json: bool) -> None:

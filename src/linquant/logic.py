@@ -1,16 +1,23 @@
 """Boolean-level algorithms over linear-inequality atoms.
 
-Satisfiability of a conjunction of atoms is decided internally by iterated
-Fourier-Motzkin elimination over exact rationals: eliminate one variable at
-a time by pairing its lower and upper bounds, then constant-fold the
-variable-free residue.  A satisfying valuation can be read back by reversing
-the elimination order and picking a point inside each residual interval.
+Satisfiability of a conjunction of atoms is decided exactly by iterated
+Fourier-Motzkin elimination over integer rows.  Each atom is folded and
+compiled once into a row ``k*(dir.x) + c (<|<=) 0`` whose direction ``dir``
+is a primitive integer vector; a system keeps one row per direction, the
+tightest of any parallel rows (strict wins a tie).  Eliminating a variable
+pairs each of its lower rows with each upper row under integer multipliers
+that cancel it; a variable-free row decides the system at once.  All
+arithmetic is on Python integers, so no verdict is approximate.  A
+satisfying valuation is read back by reversing the elimination order and
+picking a point inside each residual interval, computed with exact
+rationals from the rows of that stage.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .numerics import ext_cmp
 from .terms import (
@@ -303,114 +310,121 @@ def guard_disjuncts(phi: BoolExpr) -> list[Disjunct]:
 
 
 @lru_cache(maxsize=1 << 16)
-def _classify(atom: Atom, var: str):
-    """How an atom constrains ``var``: a bound, a leftover, or a constant."""
-    if var not in atom.fvars():
-        return ("rest", atom)
-    iso = fold_atom(isolate(atom, var))
-    if iso is TRUE:
-        return ("true", None)
-    if iso is FALSE:
-        return ("false", None)
-    if var not in iso.fvars():
-        return ("rest", iso)
-    return ("upper" if iso.rel.is_upper else "lower", (iso.rhs, iso.rel.is_strict))
+def _row(atom: Atom):
+    """Compile an atom to the row ``(dir, k, c, strict)``, or TRUE/FALSE.
 
-
-def _split_bounds(atoms, var: str):
-    """Partition folded, isolated atoms into bounds on ``var`` and the rest.
-
-    Returns (lowers, uppers, rest) where bound entries are (expr, strict).
-    Constant bounds collapse to the single tightest one and expression
-    bounds are deduplicated, which keeps the Fourier-Motzkin cross product
-    from ballooning.  ``None`` signals an atom that folded to false.
+    The row reads ``k*(dir.x) + c < 0`` (``<= 0`` unless strict): ``dir`` is
+    a name-sorted tuple of ``(var, int)`` with coprime entries, ``k > 0``
+    and ``gcd(k, c) == 1``, so parallel atoms share ``dir`` and an atom's
+    bound on ``dir.x`` is ``-c/k``.  Atoms that fold become TRUE or FALSE.
     """
-    lowers: list[tuple[LinExpr, bool]] = []
-    uppers: list[tuple[LinExpr, bool]] = []
-    best_lo: tuple[Fraction, bool] | None = None  # max constant lower bound
-    best_hi: tuple[Fraction, bool] | None = None  # min constant upper bound
-    seen_bounds: set = set()
-    rest: list[Atom] = []
+    folded = fold_atom(atom)
+    if folded is TRUE or folded is FALSE:
+        return folded
+    diff = folded.lhs - folded.rhs  # folded atoms have two finite sides
+    if not folded.rel.is_upper:
+        diff = -diff
+    scale = lcm(diff.constant.denominator, *(q.denominator for q in diff.coeffs.values()))
+    coeffs = {v: q.numerator * (scale // q.denominator) for v, q in diff.coeffs.items()}
+    const = diff.constant.numerator * (scale // diff.constant.denominator)
+    return _normalize(coeffs, const, folded.rel.is_strict)
+
+
+def _normalize(coeffs: dict[str, int], const: int, strict: bool):
+    """The row of ``coeffs.x + const (<|<=) 0``; TRUE/FALSE when variable-free."""
+    if not coeffs:
+        return TRUE if const < 0 or (const == 0 and not strict) else FALSE
+    if len(coeffs) == 1:
+        ((v, a),) = coeffs.items()
+        k = abs(a)
+        h = gcd(k, const)
+        return ((v, 1 if a > 0 else -1),), k // h, const // h, strict
+    k = gcd(*coeffs.values())
+    h = gcd(k, const)
+    return tuple(sorted((v, a // k) for v, a in coeffs.items())), k // h, const // h, strict
+
+
+def _insert(system: dict, d: tuple, k: int, c: int, strict: bool) -> None:
+    """Add a row, keeping only the tightest of rows parallel to it."""
+    old = system.get(d)
+    if old is not None:
+        k0, c0, s0 = old
+        # bounds -c/k on the same dir.x: the larger c/k is the tighter
+        new, kept = c * k0, c0 * k
+        if new < kept or (new == kept and (s0 or not strict)):
+            return
+    system[d] = (k, c, strict)
+
+
+def _system(atoms):
+    """The rows of a conjunction keyed by direction, and the variables of
+    its atoms that do not fold to true; None if an atom folds to false."""
+    system: dict = {}
+    variables: set[str] = set()
     for atom in atoms:
-        kind, payload = _classify(atom, var)
-        if kind == "true":
+        row = _row(atom)
+        if row is TRUE:
             continue
-        if kind == "false":
+        if row is FALSE:
             return None
-        if kind == "rest":
-            rest.append(payload)
-            continue
-        bound, strict = payload
-        upper = kind == "upper"
-        if bound.is_constant:
-            c = bound.constant
-            if upper:
-                if best_hi is None or c < best_hi[0] or (c == best_hi[0] and strict):
-                    best_hi = (c, strict)
-            else:
-                if best_lo is None or c > best_lo[0] or (c == best_lo[0] and strict):
-                    best_lo = (c, strict)
-            continue
-        key = (bound, strict, upper)
-        if key in seen_bounds:
-            continue
-        seen_bounds.add(key)
-        (uppers if upper else lowers).append((bound, strict))
-    if best_lo is not None:
-        lowers.append((LinExpr.const(best_lo[0]), best_lo[1]))
-    if best_hi is not None:
-        uppers.append((LinExpr.const(best_hi[0]), best_hi[1]))
-    return lowers, uppers, rest
+        _insert(system, *row)
+        # fold_atom returns an unfolded atom itself, with two finite sides
+        variables.update(atom.lhs.coeffs, atom.rhs.coeffs)
+    return system, variables
 
 
-@lru_cache(maxsize=1 << 17)
-def _bound_pair(lo: LinExpr, hi: LinExpr, strict: bool):
-    """Folded comparison lo (<|<=) hi; the returned atom object is shared."""
-    return fold_atom(Atom(lo, Rel.LT if strict else Rel.LE, hi))
+def _fm_step(system: dict, var: str):
+    """Eliminate ``var``, which must precede every other variable of the
+    system in name order, so it leads each ``dir`` that mentions it.
 
-
-def _fm_step(atoms, var: str):
-    """Eliminate ``var``; returns the residual atoms or None if unsat."""
-    split = _split_bounds(atoms, var)
-    if split is None:
-        return None
-    lowers, uppers, rest = split
-    out = dict.fromkeys(rest)
-    for lo, lo_strict in lowers:
-        for hi, hi_strict in uppers:
-            folded = _bound_pair(lo, hi, lo_strict or hi_strict)
-            if folded is FALSE:
-                return None
-            if folded is not TRUE:
-                out[folded] = None
-    return list(out)
-
-
-def _atoms_fvars(atoms) -> set[str]:
-    out: set[str] = set()
-    for a in atoms:
-        out |= a.fvars()
-    return out
+    Returns ``(residue, lowers, uppers)`` where the bounds are the rows on
+    ``var`` as ``(dir, (k, c, strict))``; ``residue`` is None when a
+    variable-free combination is false.
+    """
+    lowers, uppers, residue = [], [], {}
+    for d, row in system.items():
+        lead, a = d[0]
+        if lead != var:
+            residue[d] = row
+        elif a > 0:
+            uppers.append((d, row))
+        else:
+            lowers.append((d, row))
+    for dl, (kl, cl, sl) in lowers:
+        al = -dl[0][1]
+        for du, (ku, cu, su) in uppers:
+            au = du[0][1]
+            g = gcd(al, au)
+            # ku*au/g * (lower row) + kl*al/g * (upper row) cancels var
+            ml, mu = ku * (au // g), kl * (al // g)
+            fl, fu = ml * kl, mu * ku
+            coeffs = {v: fl * a for v, a in dl[1:]}
+            for v, a in du[1:]:
+                total = coeffs.get(v, 0) + fu * a
+                if total:
+                    coeffs[v] = total
+                else:
+                    del coeffs[v]
+            row = _normalize(coeffs, ml * cl + mu * cu, sl or su)
+            if row is FALSE:
+                return None, lowers, uppers
+            if row is not TRUE:
+                _insert(residue, *row)
+    return residue, lowers, uppers
 
 
 @lru_cache(maxsize=1 << 16)
 def _sat_cached(atom_key: frozenset) -> bool:
-    atoms: list[Atom] = []
-    for a in atom_key:
-        folded = fold_atom(a)
-        if folded is FALSE:
+    compiled = _system(atom_key)
+    if compiled is None:
+        return False
+    system, variables = compiled
+    for var in sorted(variables):
+        if not system:
+            return True
+        system = _fm_step(system, var)[0]
+        if system is None:
             return False
-        if folded is not TRUE:
-            atoms.append(folded)
-    for var in sorted(_atoms_fvars(atoms)):
-        atoms = _fm_step(atoms, var)
-        if atoms is None:
-            return False
-    for a in atoms:
-        folded = fold_atom(a)
-        if folded is FALSE:
-            return False
-        assert folded is TRUE, f"variable-free atom did not fold: {a!r}"
     return True
 
 
@@ -515,38 +529,20 @@ def fm_witness(d: Disjunct, extra_vars=()) -> Valuation | None:
     midpoint of each residual interval, bound +/- 1 when one-sided, and 0
     when unconstrained.  ``extra_vars`` are included (defaulting to 0).
     """
-    atoms: list[Atom] = []
-    for a in d:
-        folded = fold_atom(a)
-        if folded is FALSE:
-            return None
-        if folded is not TRUE:
-            atoms.append(folded)
-    variables = sorted(_atoms_fvars(atoms))
-    stages: list[tuple[str, list, list]] = []
-    system = atoms
-    for var in variables:
-        split = _split_bounds(system, var)
-        if split is None:
-            return None
-        lowers, uppers, rest = split
-        stages.append((var, lowers, uppers))
-        system = _fm_step(system, var)
+    compiled = _system(d)
+    if compiled is None:
+        return None
+    system, variables = compiled
+    stages = []
+    for var in sorted(variables):
+        system, lowers, uppers = _fm_step(system, var)
         if system is None:
             return None
+        stages.append((var, lowers, uppers))
     values: dict[str, Fraction] = {}
-    valuation = Valuation()
     for var, lowers, uppers in reversed(stages):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for expr, strict in lowers:
-            v = expr.evaluate(valuation)
-            if lo is None or v > lo or (v == lo and strict):
-                lo, lo_strict = v, strict if (lo is None or v > lo) else (lo_strict or strict)
-        for expr, strict in uppers:
-            v = expr.evaluate(valuation)
-            if hi is None or v < hi or (v == hi and strict):
-                hi, hi_strict = v, strict if (hi is None or v < hi) else (hi_strict or strict)
+        lo, lo_strict = _tightest(lowers, values, max)
+        hi, hi_strict = _tightest(uppers, values, min)
         if lo is None and hi is None:
             pick = Fraction(0)
         elif lo is None:
@@ -560,8 +556,23 @@ def fm_witness(d: Disjunct, extra_vars=()) -> Valuation | None:
             assert lo < hi, "inverted interval after FM"
             pick = (lo + hi) / 2
         values[var] = pick
-        valuation = Valuation(values)
     for var in extra_vars:
         if var not in values:
             values[var] = Fraction(0)
     return Valuation(values)
+
+
+def _tightest(rows, values: dict[str, Fraction], pick):
+    """The tightest bound the rows put on their leading variable once the
+    others take ``values``, and whether it is strict; (None, False) if none.
+
+    A row ``k*(a*var + rest) + c`` bounds ``var`` by ``-(rest + c/k)/a``.
+    """
+    bounds = []
+    for d, (k, c, strict) in rows:
+        rest = sum((a * values[v] for v, a in d[1:]), Fraction(c, k))
+        bounds.append((-rest / d[0][1], strict))
+    if not bounds:
+        return None, False
+    best = pick(b for b, _ in bounds)
+    return best, any(strict for b, strict in bounds if b == best)

@@ -294,8 +294,16 @@ class _Parser:
 
 
 def parse_quantity(text: str) -> Quantity:
-    """Parse a quantity from its textual form."""
-    return _Parser(text).quantity()
+    """Parse a quantity from its textual form.
+
+    Input nested deeper than the interpreter's recursion limit allows is a
+    :class:`ParseError` ("nesting too deep"), not a ``RecursionError``.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.quantity()
+    except RecursionError:
+        raise parser.error("nesting too deep") from None
 
 
 def parse_body(text: str) -> tuple[GuardedTerm, ...]:

@@ -204,19 +204,13 @@ _FLIPPED = {Rel.LT: Rel.GT, Rel.GT: Rel.LT, Rel.LE: Rel.GE, Rel.GE: Rel.LE}
 class Atom:
     """A linear inequality between two extended linear expressions."""
 
-    __slots__ = ("lhs", "rel", "rhs", "_hash", "_fvars")
+    __slots__ = ("lhs", "rel", "rhs", "_hash")
 
     def __init__(self, lhs: ExtLinExpr, rel: Rel, rhs: ExtLinExpr):
         self.lhs = lhs
         self.rel = rel
         self.rhs = rhs
         self._hash: int | None = None
-        self._fvars: frozenset[str] | None = None
-
-    def fvars(self) -> frozenset[str]:
-        if self._fvars is None:
-            self._fvars = frozenset(fvars_expr(self.lhs) | fvars_expr(self.rhs))
-        return self._fvars
 
     def __eq__(self, other) -> bool:
         if self is other:

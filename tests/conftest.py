@@ -99,6 +99,22 @@ def random_iso_disjunct(
     return Disjunct(tuple(atoms))
 
 
+def random_frac_disjunct(rng: random.Random, variables, max_atoms=4, bound=3) -> Disjunct:
+    """A random disjunct of atoms not solved for any variable: each side
+    is linear in up to two variables, with coefficients and constants n/d
+    for |n| <= bound and d in {1, 2, 3}."""
+
+    def q() -> Fraction:
+        return Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
+
+    def side() -> LinExpr:
+        chosen = rng.sample(variables, rng.randint(0, min(2, len(variables))))
+        return LinExpr(q(), {v: q() for v in chosen})
+
+    n = rng.randint(1, max_atoms)
+    return Disjunct(tuple(Atom(side(), rng.choice(list(Rel)), side()) for _ in range(n)))
+
+
 def direct_bound_check(d: Disjunct, var: str, sigma: Valuation):
     """Independent interval analysis of {q : sigma[var -> q] satisfies d}.
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -56,6 +57,32 @@ class TestElim:
         assert code == 5
         assert out == ""
         assert err.startswith("cannot read input:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "quantity"}',
+            '{"kind": "quantity", "prefix": [',
+            '{"kind": "x"}',
+            '{"kind": "quantity", "prefix": [], "body": []}',
+        ],
+        ids=["missing-key", "truncated", "unknown-kind", "empty-body"],
+    )
+    def test_malformed_json_ast_exit_code(self, files, capsys, text):
+        code, out, err = run(capsys, "elim", files("bad.json", text))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    def test_deep_nesting_exit_code(self, files, capsys):
+        # deeper than any recursion limit in force, including the one
+        # eliminate raises for itself
+        depth = max(5000, sys.getrecursionlimit() + 100)
+        code, out, err = run(capsys, "elim", files("deep.lq", "[" + "!" * depth + "(x>0)] * 1"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parse error:") and "nesting too deep" in err
+        assert err.count("\n") == 1
 
     def test_json_output(self, files, capsys):
         path = files("qf.lq", "[x >= 1/2] * oo")

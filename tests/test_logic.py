@@ -22,7 +22,60 @@ from linquant.logic import (
 from linquant.parser import parse_quantity
 from linquant.terms import FALSE, TRUE, And, Not, Or, Valuation
 
-from conftest import atom, grid_sat, lin, random_iso_disjunct, val
+from conftest import atom, grid_sat, lin, random_frac_disjunct, random_iso_disjunct, val
+
+X, Y, Z = lin(0, x=1), lin(0, y=1), lin(0, z=1)
+
+# Unsatisfiable conjunctions: parallel rows at different scales and
+# strictness (in both insertion orders), and fractional two-variable atoms.
+UNSAT_CASES = [
+    (atom(X, "<", 0), atom(X, ">", 1)),
+    (atom(X, "<=", 1), atom(lin(0, x=2), ">", 2)),
+    (atom(lin(0, x=3), "<", 3), atom(X, "<=", 1), atom(X, ">=", 1)),
+    (atom(X, "<=", 1), atom(lin(0, x=3), "<", 3), atom(X, ">=", 1)),
+    (
+        atom(lin(0, x=Fraction(1, 3), y=Fraction(1, 2)), "<", Fraction(1, 6)),
+        atom(X, ">=", 0),
+        atom(Y, ">=", Fraction(1, 3)),
+    ),
+]
+
+# Satisfiable conjunctions with the witness fm_witness returns for them
+# (name-ordered elimination, midpoint / bound +- 1 / 0 picks).
+WITNESS_CASES = [
+    ((atom(X, ">", 0), atom(X, "<", 2)), {"x": 1}),
+    ((atom(X, "<=", 1), atom(lin(0, x=2), ">=", 2)), {"x": 1}),
+    # the strict 3x < 3 is kept over the parallel x <= 1: the interval is [0, 1)
+    ((atom(lin(0, x=3), "<", 3), atom(X, "<=", 1), atom(X, ">=", 0)), {"x": Fraction(1, 2)}),
+    (
+        (
+            atom(lin(0, x=Fraction(1, 3), y=Fraction(1, 2)), "<", Fraction(1, 6)),
+            atom(X, ">=", lin(0, y=Fraction(-2, 3))),
+            atom(Y, ">", -1),
+        ),
+        {"x": Fraction(7, 15), "y": Fraction(-1, 5)},
+    ),
+    (
+        (
+            atom(X, ">=", lin(0, y=1, z=1)),
+            atom(lin(0, x=2), "<", lin(3, y=Fraction(1, 2), z=-1)),
+            atom(Y, "<=", lin(1, z=Fraction(1, 2))),
+            atom(Z, ">", -1),
+            atom(Z, "<=", 2),
+            atom(lin(0, y=1, z=Fraction(2, 3)), ">=", lin(Fraction(-1, 2), x=Fraction(1, 3))),
+        ),
+        {"x": Fraction(353, 384), "y": Fraction(5, 48), "z": Fraction(5, 12)},
+    ),
+]
+
+# Seeded disjunct corpora: integer atoms isolated in x, and fractional
+# atoms over one or two variables per side.
+def _iso_corpus(rng, variables, max_atoms):
+    return random_iso_disjunct(rng, variables, "x", max_atoms=max_atoms, bound=3)
+
+
+def _frac_corpus(rng, variables, max_atoms):
+    return random_frac_disjunct(rng, variables, max_atoms=max_atoms, bound=3)
 
 
 class TestAtomEval:
@@ -156,28 +209,31 @@ class TestIsolate:
 
 class TestDisjunctSat:
     def test_empty_interval(self):
-        d = Disjunct((atom(lin(0, x=1), "<", 0), atom(lin(0, x=1), ">", 1)))
-        assert not disjunct_sat(d)
+        for atoms in UNSAT_CASES:
+            assert not disjunct_sat(Disjunct(atoms)), atoms
 
     def test_free_upper_bound(self):
         d = Disjunct((atom(lin(0, x=1), ">=", 0), atom(lin(0, x=1), "<=", lin(0, y3=-1))))
         assert disjunct_sat(d)
+        for atoms, _ in WITNESS_CASES:
+            assert disjunct_sat(Disjunct(atoms)), atoms
 
     def test_empty_disjunct(self):
         assert disjunct_sat(Disjunct(()))
 
     def test_agreement_with_grid_oracle(self):
-        rng = random.Random(20240)
-        for case in range(150):
-            d = random_iso_disjunct(rng, ["x", "y"], "x", max_atoms=4, bound=3)
-            verdict = disjunct_sat(d)
-            point = grid_sat(d, {"x", "y"})
-            if point is not None:
-                assert verdict, f"grid found {point} but FM says unsat: {d}"
-            elif verdict:
-                witness = fm_witness(d)
-                assert witness is not None
-                assert all(atom_eval(witness, a) for a in d)
+        for draw, seed in ((_iso_corpus, 20240), (_frac_corpus, 20241)):
+            rng = random.Random(seed)
+            for case in range(150):
+                d = draw(rng, ["x", "y"], 4)
+                verdict = disjunct_sat(d)
+                point = grid_sat(d, {"x", "y"})
+                if point is not None:
+                    assert verdict, f"grid found {point} but FM says unsat: {d}"
+                elif verdict:
+                    witness = fm_witness(d)
+                    assert witness is not None
+                    assert all(atom_eval(witness, a) for a in d)
 
 
 class TestBoolSat:
@@ -198,28 +254,29 @@ class TestBoolSat:
 
 class TestFmWitness:
     def test_midpoint(self):
-        d = Disjunct((atom(lin(0, x=1), ">", 0), atom(lin(0, x=1), "<", 2)))
-        assert fm_witness(d) == Valuation({"x": 1})
+        for atoms, expected in WITNESS_CASES:
+            assert fm_witness(Disjunct(atoms)) == Valuation(expected), atoms
 
     def test_unsat_returns_none(self):
-        d = Disjunct((atom(lin(0, x=1), "<", 0), atom(lin(0, x=1), ">", 1)))
-        assert fm_witness(d) is None
+        for atoms in UNSAT_CASES:
+            assert fm_witness(Disjunct(atoms)) is None, atoms
 
     def test_empty_disjunct_defaults_to_zero(self):
         w = fm_witness(Disjunct(()), extra_vars=("a", "b"))
         assert w == Valuation({"a": 0, "b": 0})
 
     def test_witness_satisfies(self):
-        rng = random.Random(77)
-        produced = 0
-        for _ in range(200):
-            d = random_iso_disjunct(rng, ["x", "y", "z"], "x", max_atoms=5, bound=3)
-            w = fm_witness(d)
-            assert (w is None) == (not disjunct_sat(d))
-            if w is not None:
-                produced += 1
-                assert all(atom_eval(w, a) for a in d)
-        assert produced > 50  # the corpus is mostly satisfiable
+        for draw, seed in ((_iso_corpus, 77), (_frac_corpus, 78)):
+            rng = random.Random(seed)
+            produced = 0
+            for _ in range(200):
+                d = draw(rng, ["x", "y", "z"], 5)
+                w = fm_witness(d)
+                assert (w is None) == (not disjunct_sat(d))
+                if w is not None:
+                    produced += 1
+                    assert all(atom_eval(w, a) for a in d)
+            assert produced > 50  # each corpus is mostly satisfiable
 
     def test_one_sided_intervals(self):
         assert fm_witness(Disjunct((atom(lin(0, x=1), ">", 5),))) == Valuation({"x": 6})
