@@ -2,10 +2,16 @@
 
 Commands: elim, eval, interpolate, entails, check, gnf, selftest.  Input is
 a UTF-8 file in the quantity grammar (or a JSON AST, detected by a leading
-"{"); ``-`` or no file reads stdin.  Exit codes: 0 success, 1 parse error
-(also a malformed JSON AST or too deep nesting), 2 well-formedness
-violation, 3 missing variable binding, 4 failed entailment, 5 input not
-readable.
+"{"); ``-`` or no file reads stdin.  Values print as rationals (``5/3``) or
+``oo`` / ``-oo``.  Exit codes: 0 success, 1 parse error (also a malformed
+JSON AST, too deep nesting, or input too deep for the engine), 2
+well-formedness violation, 3 missing variable binding, 4 failed entailment,
+5 input not readable, 6 usage error (bad command line).
+
+While a command runs, ``main`` raises the recursion limit to
+:data:`RECURSION_LIMIT`, because the engine's tree walks take several frames
+per nesting level of a guard, and restores it afterwards; the library itself
+sets no process state.  A guard too deep even for that limit exits 1.
 """
 
 from __future__ import annotations
@@ -36,10 +42,22 @@ EXIT_ILL_FORMED = 2
 EXIT_MISSING_VAR = 3
 EXIT_NOT_ENTAILED = 4
 EXIT_UNREADABLE = 5
+EXIT_USAGE = 6
+
+# Recursion limit while a command runs: room for the engine's tree walks.
+RECURSION_LIMIT = 20_000
 
 
 class InputUnreadable(Exception):
     """An input file could not be opened or decoded."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line in one line with its own exit code, so it
+    cannot be read as a well-formedness violation (argparse's exit 2)."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"usage error: {self.prog}: {message}\n")
 
 
 def _read_quantity(path: str | None) -> Quantity:
@@ -100,7 +118,7 @@ def _require_well_formed(q: Quantity) -> None:
 def _cmd_elim(args) -> int:
     q = _read_quantity(args.file)
     _require_well_formed(q)
-    result = eliminate(q, simplify=args.simplify, jobs=args.jobs)
+    result = eliminate(q, simplify=args.simplify)
     _emit(result, args.json)
     return EXIT_OK
 
@@ -110,7 +128,7 @@ def _cmd_eval(args) -> int:
     _require_well_formed(q)
     sigma = _parse_sigma(args.sigma)
     if q.prefix:
-        q = eliminate(q, jobs=args.jobs)
+        q = eliminate(q)
     missing = sorted(free_vars(q) - set(sigma))
     if missing:
         raise MissingVariable(missing[0])
@@ -137,7 +155,7 @@ def _cmd_interpolate(args) -> int:
     _require_well_formed(f)
     _require_well_formed(g)
     build = weakest_interpolant if args.weakest else strongest_interpolant
-    result = build(f, g, jobs=args.jobs)
+    result = build(f, g)
     _emit(result, args.json)
     return EXIT_OK
 
@@ -192,7 +210,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="linquant",
         description="Quantifier elimination and Craig interpolation for piecewise linear quantities.",
     )
@@ -202,21 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="{elim,eval,entails,interpolate,check,gnf}",
     )
 
-    def add_common(p, with_jobs=True):
+    def add_json(p):
         p.add_argument("--json", action="store_true", help="emit the JSON AST")
-        if with_jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel elimination tasks")
 
     p = sub.add_parser("elim", help="eliminate all quantifiers")
     p.add_argument("file", nargs="?", help="input file (default: stdin)")
     p.add_argument("--simplify", action="store_true", help="merge and drop redundant terms")
-    add_common(p)
+    add_json(p)
     p.set_defaults(func=_cmd_elim)
 
     p = sub.add_parser("eval", help="evaluate at a valuation")
     p.add_argument("file", nargs="?")
     p.add_argument("--sigma", default="", help="comma-separated bindings, e.g. x=1,y=-2/3")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("entails", help="decide quantitative entailment f |= g")
@@ -230,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--strongest", action="store_true", default=True)
     group.add_argument("--weakest", action="store_true", default=False)
-    add_common(p)
+    add_json(p)
     p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("check", help="check well-formedness")
@@ -240,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gnf", help="guarded normal form w.r.t. a variable")
     p.add_argument("file", nargs="?")
     p.add_argument("--var", required=True)
-    add_common(p, with_jobs=False)
+    add_json(p)
     p.set_defaults(func=_cmd_gnf)
 
     # hidden: randomized oracle-agreement harness
@@ -255,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
         return args.func(args)
     except ParseError as exc:
@@ -273,6 +290,11 @@ def main(argv=None) -> int:
     except InputUnreadable as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
+    except RecursionError:
+        print(f"too deep: input exceeds the recursion limit {RECURSION_LIMIT}", file=sys.stderr)
+        return EXIT_PARSE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

@@ -74,34 +74,30 @@ def entails(f: Quantity, g: Quantity) -> Valuation | None:
     return None
 
 
-def _project(q: Quantity, variables, quant: Quant, *, simplify: bool, jobs: int) -> Quantity:
+def _project(q: Quantity, variables, quant: Quant, *, simplify: bool) -> Quantity:
     body = merge_equal_values(_partitioned(q))
     prefix = tuple((quant, v) for v in variables)
-    result = eliminate(Quantity(prefix, body), jobs=jobs)
+    result = eliminate(Quantity(prefix, body))
     if simplify:
         result = Quantity((), simplify_body(result.body))
     return result
 
 
-def strongest_interpolant(
-    f: Quantity, g: Quantity, *, simplify: bool = True, jobs: int = 1
-) -> Quantity:
+def strongest_interpolant(f: Quantity, g: Quantity, *, simplify: bool = True) -> Quantity:
     """The strongest quantity between ``f`` and ``g`` (w.r.t. entailment)
     over their shared free variables: sup-project f's private variables."""
     witness = entails(f, g)
     if witness is not None:
         raise NotEntailed(witness)
     private = sorted(free_vars(f) - free_vars(g))
-    return _project(f, private, Quant.SUP, simplify=simplify, jobs=jobs)
+    return _project(f, private, Quant.SUP, simplify=simplify)
 
 
-def weakest_interpolant(
-    f: Quantity, g: Quantity, *, simplify: bool = True, jobs: int = 1
-) -> Quantity:
+def weakest_interpolant(f: Quantity, g: Quantity, *, simplify: bool = True) -> Quantity:
     """The weakest quantity between ``f`` and ``g`` over their shared free
     variables: inf-project g's private variables."""
     witness = entails(f, g)
     if witness is not None:
         raise NotEntailed(witness)
     private = sorted(free_vars(g) - free_vars(f))
-    return _project(g, private, Quant.INF, simplify=simplify, jobs=jobs)
+    return _project(g, private, Quant.INF, simplify=simplify)

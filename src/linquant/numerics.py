@@ -1,11 +1,12 @@
 """Exact arithmetic over the extended rationals.
 
-Finite values are arbitrary-precision ``fractions.Fraction`` (always stored
-in canonical form: positive denominator, gcd-reduced).  The two infinities
-follow the usual extended-real rules: adding a finite value to an infinity
-keeps the infinity, equal-signed infinities add, scaling by zero yields zero
-even against an infinity, and scaling by a negative rational flips the sign.
-The one undefined combination, ``oo + (-oo)``, raises :class:`UndefinedSum`.
+A value is a ``fractions.Fraction`` (always canonical: positive denominator,
+gcd-reduced) or one of the two infinite constants :data:`OO` and
+:data:`NEG_OO`.  The same constants are the infinite terms of the quantity
+language, so evaluating one needs no conversion.  Infinities follow the usual
+extended-real rules: adding a finite value to an infinity keeps the infinity
+and equal-signed infinities add.  The one undefined combination,
+``oo + (-oo)``, raises :class:`UndefinedSum`.
 """
 
 from __future__ import annotations
@@ -15,89 +16,59 @@ from fractions import Fraction
 
 from .errors import UndefinedSum
 
-# Exact rational type used everywhere in the package.
-Rational = Fraction
-
 
 @dataclass(frozen=True, slots=True)
-class ExtRat:
-    """An extended rational: a finite Fraction, +oo, or -oo.
+class InfExpr:
+    """One of the two infinite constants, usable as a value or atom side.
 
-    ``inf`` is -1, 0 or +1; ``value`` is the finite payload (None for the
-    infinities).  Use :func:`finite`, :data:`POS_INF` and :data:`NEG_INF`
-    rather than the raw constructor.
+    Ordered against rationals and each other: -oo < every Fraction < oo.
     """
 
-    inf: int
-    value: Fraction | None
-
-    @staticmethod
-    def finite(q) -> "ExtRat":
-        return ExtRat(0, Fraction(q))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.inf == 0
-
-    def __str__(self) -> str:
-        if self.inf > 0:
-            return "oo"
-        if self.inf < 0:
-            return "-oo"
-        return str(self.value)
+    sign: int
 
     def __repr__(self) -> str:
-        return f"ExtRat({self})"
+        return "OO" if self.sign > 0 else "NEG_OO"
 
-    # Comparisons follow the total order -oo < finite < oo.
-    def __lt__(self, other: "ExtRat") -> bool:
+    def __str__(self) -> str:
+        return "oo" if self.sign > 0 else "-oo"
+
+    def __lt__(self, other) -> bool:
         return ext_cmp(self, other) < 0
 
-    def __le__(self, other: "ExtRat") -> bool:
+    def __le__(self, other) -> bool:
         return ext_cmp(self, other) <= 0
 
-    def __gt__(self, other: "ExtRat") -> bool:
+    def __gt__(self, other) -> bool:
         return ext_cmp(self, other) > 0
 
-    def __ge__(self, other: "ExtRat") -> bool:
+    def __ge__(self, other) -> bool:
         return ext_cmp(self, other) >= 0
 
-    def __add__(self, other: "ExtRat") -> "ExtRat":
-        return ext_add(self, other)
 
+OO = InfExpr(1)
+NEG_OO = InfExpr(-1)
 
-POS_INF = ExtRat(1, None)
-NEG_INF = ExtRat(-1, None)
-ZERO = ExtRat.finite(0)
+# An extended rational: a finite Fraction or one of the infinities.
+ExtRat = Fraction | InfExpr
 
 
 def ext_add(a: ExtRat, b: ExtRat) -> ExtRat:
     """Extended addition; raises UndefinedSum on oo + (-oo)."""
-    if a.inf:
-        if b.inf and b.inf != a.inf:
+    if isinstance(a, InfExpr):
+        if isinstance(b, InfExpr) and b.sign != a.sign:
             raise UndefinedSum("oo + (-oo) is undefined")
         return a
-    if b.inf:
+    if isinstance(b, InfExpr):
         return b
-    return ExtRat(0, a.value + b.value)
-
-
-def ext_scale(q: Rational, a: ExtRat) -> ExtRat:
-    """Scale an extended rational by a finite rational (0 * oo = 0)."""
-    q = Fraction(q)
-    if a.inf == 0:
-        return ExtRat(0, q * a.value)
-    if q == 0:
-        return ZERO
-    return POS_INF if (a.inf > 0) == (q > 0) else NEG_INF
+    return a + b
 
 
 def ext_cmp(a: ExtRat, b: ExtRat) -> int:
     """Three-way comparison: -1, 0, or 1."""
-    if a.inf != b.inf:
-        return -1 if a.inf < b.inf else 1
-    if a.inf:
+    sa = a.sign if isinstance(a, InfExpr) else 0
+    sb = b.sign if isinstance(b, InfExpr) else 0
+    if sa != sb:
+        return -1 if sa < sb else 1
+    if sa:
         return 0
-    if a.value == b.value:
-        return 0
-    return -1 if a.value < b.value else 1
+    return (a > b) - (a < b)

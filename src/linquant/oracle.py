@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import NotIsolated, UndefinedSum
 from .logic import bool_eval, is_isolated_in
 from .normalform import check_well_formed, make_partitioning
-from .numerics import NEG_INF, POS_INF, ExtRat, ext_add, ext_cmp
+from .numerics import NEG_OO, OO, ExtRat, ext_add, ext_cmp
 from .terms import (
     And,
     Atom,
@@ -43,7 +43,7 @@ Body = tuple[GuardedTerm, ...]
 def eval_quantity(valuation: Valuation, body) -> ExtRat:
     """Exact value of a quantifier-free body: the extended sum of the
     values whose guards the valuation satisfies (others contribute 0)."""
-    total = ExtRat.finite(0)
+    total: ExtRat = Fraction(0)
     atom_cache: dict = {}
     for term in body:
         if bool_eval(valuation, term.guard, atom_cache):
@@ -66,8 +66,8 @@ def _collect_breakpoints(body, var: str, valuation: Valuation) -> list[Fraction]
             if not is_isolated_in(phi, var):
                 raise NotIsolated(f"atom does not isolate {var!r}: {phi!r}")
             bound = lin_eval(valuation, phi.rhs)
-            if bound.is_finite:
-                points.add(bound.value)
+            if not isinstance(bound, InfExpr):
+                points.add(bound)
         elif isinstance(phi, Not):
             scan(phi.arg)
         elif isinstance(phi, (And, Or)):
@@ -133,22 +133,22 @@ def _oracle_extremum(valuation: Valuation, var: str, body, maximum: bool) -> Ext
     for lo, hi, sample in regions:
         coeff, offset, inf_sign = _active_piece(body, var, valuation, sample)
         if inf_sign:
-            candidates.append(POS_INF if inf_sign > 0 else NEG_INF)
+            candidates.append(OO if inf_sign > 0 else NEG_OO)
             continue
         if lo is not None and lo == hi:  # breakpoint itself
-            candidates.append(ExtRat.finite(coeff * lo + offset))
+            candidates.append(coeff * lo + offset)
             continue
         if coeff == 0:
-            candidates.append(ExtRat.finite(offset))
+            candidates.append(offset)
             continue
         # Open interval: a linear piece attains its extremum in the closure,
         # so the endpoint limits suffice (even when unattained).
         ends: list[ExtRat] = []
         for end, towards_plus in ((lo, False), (hi, True)):
             if end is None:
-                ends.append(POS_INF if (coeff > 0) == towards_plus else NEG_INF)
+                ends.append(OO if (coeff > 0) == towards_plus else NEG_OO)
             else:
-                ends.append(ExtRat.finite(coeff * end + offset))
+                ends.append(coeff * end + offset)
         candidates.append(_pick(ends, maximum))
     return _pick(candidates, maximum)
 

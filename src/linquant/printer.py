@@ -13,6 +13,8 @@ from fractions import Fraction
 from .errors import LinquantError
 from .terms import (
     FALSE,
+    NEG_OO,
+    OO,
     TRUE,
     And,
     Atom,
@@ -53,7 +55,7 @@ def print_linexpr(e: LinExpr) -> str:
 
 def print_extlin(e: ExtLinExpr) -> str:
     if isinstance(e, InfExpr):
-        return "oo" if e.sign > 0 else "-oo"
+        return str(e)
     return print_linexpr(e)
 
 
@@ -111,7 +113,7 @@ def _rat_from_json(d) -> Fraction:
 
 def _expr_to_json(e: ExtLinExpr):
     if isinstance(e, InfExpr):
-        return "oo" if e.sign > 0 else "-oo"
+        return str(e)
     return {
         "kind": "lin",
         "const": _rat_to_json(e.constant),
@@ -121,9 +123,9 @@ def _expr_to_json(e: ExtLinExpr):
 
 def _expr_from_json(d) -> ExtLinExpr:
     if d == "oo":
-        return InfExpr(1)
+        return OO
     if d == "-oo":
-        return InfExpr(-1)
+        return NEG_OO
     coeffs = {v: _rat_from_json(q) for v, q in d["coeffs"].items()}
     return LinExpr(_rat_from_json(d["const"]), coeffs)
 

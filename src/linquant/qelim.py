@@ -20,8 +20,6 @@ outputs near their simplified forms without changing semantics.
 
 from __future__ import annotations
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotIsolated, NotPartitioning
@@ -331,20 +329,14 @@ def merge_equal_values(body: Body) -> Body:
     return tuple(GuardedTerm(or_all(groups[v]), v) for v in order)
 
 
-def eliminate_var(quant: Quant, var: str, body: Body, *, jobs: int = 1) -> Body:
+def eliminate_var(quant: Quant, var: str, body: Body) -> Body:
     """One elimination round over a body already in GNF w.r.t. ``var``."""
     tasks = [
         (d, term.value) for term in body for d in guard_disjuncts(term.guard)
     ]
     if not tasks:
         return (GuardedTerm(TRUE, LinExpr.const(0)),)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sub_bodies = list(
-                pool.map(lambda t: eliminate_over_disjunct(quant, t[0], t[1], var), tasks)
-            )
-    else:
-        sub_bodies = [eliminate_over_disjunct(quant, d, v, var) for d, v in tasks]
+    sub_bodies = [eliminate_over_disjunct(quant, d, v, var) for d, v in tasks]
     combine = pointwise_max if quant is Quant.SUP else pointwise_min
     result = combine(sub_bodies, check=False)
     if __debug__:
@@ -352,7 +344,7 @@ def eliminate_var(quant: Quant, var: str, body: Body, *, jobs: int = 1) -> Body:
     return result
 
 
-def eliminate(q: Quantity, *, simplify: bool = False, jobs: int = 1) -> Quantity:
+def eliminate(q: Quantity, *, simplify: bool = False) -> Quantity:
     """Remove every quantifier, innermost first; the result is equivalent.
 
     Bodies between rounds stay partitioning; terms with equal values are
@@ -366,16 +358,13 @@ def eliminate(q: Quantity, *, simplify: bool = False, jobs: int = 1) -> Quantity
     violation = check_well_formed(q)
     if violation is not None:
         raise violation
-    # guards on later rounds can become deep or-chains; give tree walks room
-    if sys.getrecursionlimit() < 20_000:
-        sys.setrecursionlimit(20_000)
     body = q.body
     remaining = list(q.prefix)
     partitioned = False
     while remaining:
         quant, var = remaining.pop()
         gnf = to_gnf(Quantity((), body), var, assume_partitioning=partitioned)
-        body = eliminate_var(quant, var, gnf.body, jobs=jobs)
+        body = eliminate_var(quant, var, gnf.body)
         partitioned = True
         if remaining:
             body = merge_equal_values(body)

@@ -3,8 +3,10 @@
 A quantity is a prefix of sup/inf binders over a sum of guarded terms
 ``[guard] * value``, where guards are Boolean combinations of linear
 inequalities and values are (extended) linear expressions.  All node types
-are immutable and hashable, so terms can be shared freely across threads
-and used as cache keys.
+are immutable and hashable, so terms can be shared freely and used as cache
+keys.  The infinite constants ``OO``/``NEG_OO`` are defined in
+:mod:`linquant.numerics` and re-exported here: they are both terms and
+values.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingVariable
-from .numerics import NEG_INF, POS_INF, ExtRat, Rational
+from .numerics import NEG_OO, OO, ExtRat, InfExpr  # noqa: F401  (OO, NEG_OO re-exported)
 
 _ZERO = Fraction(0)
 
@@ -29,7 +31,7 @@ class LinExpr:
 
     __slots__ = ("constant", "coeffs", "_hash")
 
-    def __init__(self, constant=0, coeffs: Mapping[str, Rational] | Iterable = ()):
+    def __init__(self, constant=0, coeffs: Mapping[str, Fraction] | Iterable = ()):
         acc: dict[str, Fraction] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for var, q in items:
@@ -143,19 +145,6 @@ class LinExpr:
             parts.append(str(self.constant))
         return "LinExpr(" + " + ".join(parts) + ")"
 
-
-@dataclass(frozen=True, slots=True)
-class InfExpr:
-    """One of the two infinite constants usable as a value or atom side."""
-
-    sign: int
-
-    def __repr__(self) -> str:
-        return "OO" if self.sign > 0 else "NEG_OO"
-
-
-OO = InfExpr(1)
-NEG_OO = InfExpr(-1)
 
 # An extended linear expression: finite or one of the infinities.
 ExtLinExpr = LinExpr | InfExpr
@@ -331,7 +320,7 @@ class Valuation(Mapping):
 
     __slots__ = ("_map",)
 
-    def __init__(self, bindings: Mapping[str, Rational] | Iterable = ()):
+    def __init__(self, bindings: Mapping[str, Fraction] | Iterable = ()):
         items = bindings.items() if isinstance(bindings, Mapping) else bindings
         self._map = {var: Fraction(q) for var, q in items}
 
@@ -389,8 +378,8 @@ def free_vars(q: Quantity) -> set[str]:
 def lin_eval(valuation: Valuation, e: ExtLinExpr) -> ExtRat:
     """Evaluate an extended linear expression to an extended rational."""
     if isinstance(e, InfExpr):
-        return POS_INF if e.sign > 0 else NEG_INF
-    return ExtRat.finite(e.evaluate(valuation))
+        return e
+    return e.evaluate(valuation)
 
 
 def count_atoms(phi: BoolExpr) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,16 @@ def ex1() -> Quantity:
 @pytest.fixture
 def craig_pair() -> tuple[Quantity, Quantity]:
     return parse_quantity(CRAIG_F_TEXT), parse_quantity(CRAIG_G_TEXT)
+
+
+@pytest.fixture
+def fixed_recursion_limit():
+    """Pin the recursion limit below any value the engine might raise it to,
+    so a test can see whether the library changed it; restored afterwards."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(2_000)
+    yield 2_000
+    sys.setrecursionlimit(before)
 
 
 def val(**bindings) -> Valuation:
@@ -119,10 +130,10 @@ def direct_bound_check(d: Disjunct, var: str, sigma: Valuation):
     """Independent interval analysis of {q : sigma[var -> q] satisfies d}.
 
     Returns (nonempty, greatest_lower, least_upper) where the bounds are
-    ExtRat values (defaults -oo / oo) computed directly from the atoms;
+    extended rationals (defaults -oo / oo) computed directly from the atoms;
     assumes the ``var`` atoms are isolated.
     """
-    from linquant import NEG_INF, POS_INF, ext_cmp, lin_eval
+    from linquant import NEG_OO, OO, InfExpr, ext_cmp, lin_eval
 
     lows: list[tuple] = []
     highs: list[tuple] = []
@@ -137,14 +148,14 @@ def direct_bound_check(d: Disjunct, var: str, sigma: Valuation):
             highs.append((value, a.rel is Rel.LT))
         else:
             lows.append((value, a.rel is Rel.GT))
-    glb, glb_strict = NEG_INF, False
+    glb, glb_strict = NEG_OO, False
     for value, strict in lows:
         c = ext_cmp(value, glb)
         if c > 0:
             glb, glb_strict = value, strict
         elif c == 0:
             glb_strict = glb_strict or strict
-    lub, lub_strict = POS_INF, False
+    lub, lub_strict = OO, False
     for value, strict in highs:
         c = ext_cmp(value, lub)
         if c < 0:
@@ -152,7 +163,8 @@ def direct_bound_check(d: Disjunct, var: str, sigma: Valuation):
         elif c == 0:
             lub_strict = lub_strict or strict
     c = ext_cmp(glb, lub)
-    nonempty = c < 0 or (c == 0 and not glb_strict and not lub_strict and glb.is_finite)
+    closed = not glb_strict and not lub_strict and not isinstance(glb, InfExpr)
+    nonempty = c < 0 or (c == 0 and closed)
     return nonempty, glb, lub
 
 

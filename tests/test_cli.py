@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from linquant.cli import main
+from linquant.cli import EXIT_USAGE, RECURSION_LIMIT, main
 
 from conftest import CRAIG_F_TEXT, CRAIG_G_TEXT, EX1_TEXT
 
@@ -75,14 +75,24 @@ class TestElim:
         assert err.startswith("parse error:") and err.count("\n") == 1
 
     def test_deep_nesting_exit_code(self, files, capsys):
-        # deeper than any recursion limit in force, including the one
-        # eliminate raises for itself
-        depth = max(5000, sys.getrecursionlimit() + 100)
+        # deeper than the recursion limit the CLI runs its commands under
+        depth = RECURSION_LIMIT + 100
         code, out, err = run(capsys, "elim", files("deep.lq", "[" + "!" * depth + "(x>0)] * 1"))
         assert code == 1
         assert out == ""
         assert err.startswith("parse error:") and "nesting too deep" in err
         assert err.count("\n") == 1
+
+    def test_too_deep_for_engine_exit_code(self, files, capsys):
+        # parses (the && chain is read iteratively) but the engine's tree
+        # walks over the guard exceed the CLI's recursion limit
+        chain = " && ".join(f"x > {i % 7}" for i in range(15_000))
+        limit = sys.getrecursionlimit()
+        code, out, err = run(capsys, "elim", files("chain.lq", f"sup x : [{chain}] * 1"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("too deep:") and err.count("\n") == 1
+        assert sys.getrecursionlimit() == limit  # main restores the limit
 
     def test_json_output(self, files, capsys):
         path = files("qf.lq", "[x >= 1/2] * oo")
@@ -138,6 +148,15 @@ class TestEval:
         path = files("qf.lq", "[true] * (5/3)")
         code, out, _ = run(capsys, "eval", path)
         assert out.strip() == "5/3"
+
+    @pytest.mark.parametrize(
+        "text,sigma,printed",
+        [("[true] * oo", "", "oo"), ("[x > 0] * (-oo) + [x <= 0] * 1", "x=1", "-oo")],
+    )
+    def test_infinite_output(self, files, capsys, text, sigma, printed):
+        code, out, _ = run(capsys, "eval", files("inf.lq", text), "--sigma", sigma)
+        assert code == 0
+        assert out.strip() == printed
 
     def test_rejected_input_never_evaluated(self, files, capsys):
         path = files("ill.lq", "[x > 0] * oo + [x > -1] * (-oo)")
@@ -208,6 +227,15 @@ class TestCheckAndGnf:
         assert out.count("] *") == 2  # two partitioning branches
         assert "x - 2" not in out  # x isolated everywhere
 
+    def test_deep_negation_chain(self, files, capsys):
+        # parses under the default recursion limit; normal form and
+        # entailment walk it under the limit the CLI sets
+        path = files("neg.lq", "[" + "!" * 960 + "(x>0)] * 1")
+        code, out, _ = run(capsys, "gnf", path, "--var", "x")
+        assert code == 0 and out.strip() == "[x > 0] * 1 + [x <= 0] * 0"
+        code, out, _ = run(capsys, "entails", path, path)
+        assert code == 0 and out.strip() == "yes"
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -220,3 +248,18 @@ def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--cases", "4", "--samples", "10", "--seed", "3")
     assert code == 0
     assert "4/4" in out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["elim", "--jobs", "2", "f"], EXIT_USAGE), ([], EXIT_USAGE), (["--help"], 0)],
+    ids=["unknown-option", "no-command", "help"],
+)
+def test_usage_exit_code(capsys, argv, code):
+    # a bad command line must not read as exit 2, a well-formedness violation
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("usage error:") and err.count("\n") == 1

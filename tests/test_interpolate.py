@@ -1,6 +1,7 @@
 """Quantitative entailment and Craig interpolant construction."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,14 @@ class TestEntails:
     def test_craig_pair(self, craig_pair):
         f, g = craig_pair
         assert entails(f, g) is None
+
+    def test_leaves_recursion_limit(self, craig_pair, fixed_recursion_limit):
+        f, g = craig_pair
+        quantified = parse_quantity("sup y : [x >= 0 && y <= x] * y")
+        assert entails(quantified, g) is None
+        strongest_interpolant(f, g)
+        weakest_interpolant(f, g)
+        assert sys.getrecursionlimit() == fixed_recursion_limit
 
     def test_reflexive(self, ex1, craig_pair):
         for q in (ex1, *craig_pair, parse_quantity("[true] * 0")):

@@ -1,6 +1,7 @@
 """The elimination engine: bounds, selectors, substitution, recombination."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from linquant import (
     Disjunct,
     GenParams,
     IndexOutOfRange,
+    InfExpr,
     LinExpr,
     NEG_OO,
     OO,
@@ -47,6 +49,7 @@ from linquant.terms import (
     TRUE,
     And,
     Atom,
+    GuardedTerm,
     Or,
     Rel,
     TrueExpr,
@@ -233,7 +236,7 @@ class TestSubstituteBound:
         )
         replaced = substitute_bound(e, "x", a)
         bound_value = lin_eval(sigma, a)
-        shifted = sigma.updated("x", bound_value.value)
+        shifted = sigma.updated("x", bound_value)
         assert ext_cmp(lin_eval(sigma, replaced), lin_eval(shifted, e)) == 0
 
 
@@ -315,15 +318,15 @@ class TestPointwiseMaxMin:
         out = pointwise_max([parse_body("[true] * 1"), parse_body("[true] * 2")])
         assert eval_quantity(val(), out) == lin_eval(val(), LinExpr.const(2))
         out_min = pointwise_min([parse_body("[true] * 1"), parse_body("[true] * 2")])
-        assert eval_quantity(val(), out_min).value == 1
+        assert eval_quantity(val(), out_min) == 1
 
     def test_piecewise_against_constant(self):
         a = parse_body("[x >= 0] * x + [x < 0] * 0")
         b = parse_body("[true] * 1")
         out = pointwise_max([a, b])
-        assert eval_quantity(val(x=5), out).value == 5
-        assert eval_quantity(val(x=-3), out).value == 1
-        assert eval_quantity(val(x=Fraction(1, 2)), out).value == 1
+        assert eval_quantity(val(x=5), out) == 5
+        assert eval_quantity(val(x=-3), out) == 1
+        assert eval_quantity(val(x=Fraction(1, 2)), out) == 1
 
     def test_rejects_non_partitioning(self):
         with pytest.raises(NotPartitioning):
@@ -371,7 +374,7 @@ class TestEliminateVar:
         gnf = to_gnf(Quantity((), q.body), "x")
         out = eliminate_var(Quant.INF, "x", gnf.body)
         for c in (-2, 0, 7):
-            assert eval_quantity(val(c=c), out).value == 3 * c
+            assert eval_quantity(val(c=c), out) == 3 * c
 
     def test_example_one_agrees_with_oracle(self, ex1):
         gnf = to_gnf(Quantity((), ex1.body), "x")
@@ -412,8 +415,30 @@ class TestEliminate:
         with pytest.raises(WellFormednessViolation):
             eliminate(q)
 
-    def test_parallel_jobs_identical(self, ex1):
-        assert eliminate(ex1, jobs=4) == eliminate(ex1)
+    def test_leaves_recursion_limit(self, ex1, fixed_recursion_limit):
+        eliminate(ex1)
+        assert sys.getrecursionlimit() == fixed_recursion_limit
+
+    def test_inf_is_negated_sup_of_negation(self):
+        # inf x : f == -(sup x : -f), compared at sample points; needs no oracle
+        def negate(v):
+            return InfExpr(-v.sign) if isinstance(v, InfExpr) else -v
+
+        params = GenParams(vars=3, summands=2, atoms_per_guard=2, infinity_prob=0.1)
+        rng = random.Random(95)
+        for case in range(60):
+            q = random_quantity(params, seed=95_000 + case)
+            _, var = q.prefix[0]
+            neg_body = tuple(GuardedTerm(t.guard, negate(t.value)) for t in q.body)
+            low = eliminate(Quantity(((Quant.INF, var),), q.body))
+            high = eliminate(Quantity(((Quant.SUP, var),), neg_body))
+            pool = sample_pool(low, high)
+            variables = sorted(fvars_body(q.body) - {var})
+            for _ in range(20):
+                sigma = random_valuation(variables, rng, pool)
+                got = eval_quantity(sigma, low.body)
+                want = negate(eval_quantity(sigma, high.body))
+                assert ext_cmp(got, want) == 0, (case, sigma, got, want)
 
     def test_free_vars_shrink_random(self):
         for case in range(25):
