@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Commands: elim, eval, interpolate, entails, check, gnf, selftest.  Input is
-a UTF-8 file in the quantity grammar (or a JSON AST, detected by a leading
-"{"); ``-`` or no file reads stdin.  Values print as rationals (``5/3``) or
+Commands: elim, eval, interpolate, entails, check, gnf.  Input is a UTF-8
+file in the quantity grammar (or a JSON AST, detected by a leading "{");
+``-`` or no file reads stdin.  Values print as rationals (``5/3``) or
 ``oo`` / ``-oo``.  Exit codes: 0 success, 1 parse error (also a malformed
 JSON AST, too deep nesting, or input too deep for the engine), 2
 well-formedness violation, 3 missing variable binding, 4 failed entailment,
@@ -30,11 +30,11 @@ from .errors import (
 )
 from .interpolate import entails, strongest_interpolant, weakest_interpolant
 from .normalform import check_well_formed, to_gnf
-from .oracle import GenParams, eval_quantity, oracle_inf, oracle_sup, random_quantity
+from .oracle import eval_quantity
 from .parser import parse_quantity
 from .printer import print_quantity, quantity_from_json, quantity_to_json
 from .qelim import eliminate
-from .terms import Quant, Quantity, Valuation, free_vars
+from .terms import Quantity, Valuation, free_vars
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -178,37 +178,6 @@ def _cmd_gnf(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    """Randomized agreement check between the engine and the brute-force oracle."""
-    from .oracle import random_valuation, sample_pool
-    from .numerics import ext_cmp
-
-    params = GenParams(vars=3, summands=2, atoms_per_guard=2, coeff_bound=3,
-                       infinity_prob=0.1, quantifiers=1)
-    failures = 0
-    import random as _random
-
-    for case in range(args.cases):
-        q = random_quantity(params, seed=args.seed + case)
-        quant, var = q.prefix[0]
-        gnf = to_gnf(Quantity((), q.body), var)
-        result = eliminate(q)
-        rng = _random.Random(args.seed * 7919 + case)
-        variables = sorted(free_vars(q))
-        pool = sample_pool(result)
-        oracle = oracle_sup if quant is Quant.SUP else oracle_inf
-        for _ in range(args.samples):
-            sigma = random_valuation(variables, rng, pool)
-            expected = oracle(sigma, var, gnf.body)
-            actual = eval_quantity(sigma, result.body)
-            if ext_cmp(expected, actual) != 0:
-                failures += 1
-                print(f"mismatch at seed {args.seed + case}: {sigma} -> {actual} (oracle {expected})")
-                break
-    print(f"selftest: {args.cases - failures}/{args.cases} cases agree with the oracle")
-    return EXIT_OK if failures == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="linquant",
@@ -257,13 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", required=True)
     add_json(p)
     p.set_defaults(func=_cmd_gnf)
-
-    # hidden: randomized oracle-agreement harness
-    p = sub.add_parser("selftest")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--cases", type=int, default=25)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -3,10 +3,10 @@
 ``f`` entails ``g`` when ``f`` evaluates below-or-equal ``g`` at every
 valuation.  Entailment is decided symbolically: eliminate quantifiers from
 both sides, make both bodies partitioning, and refute every overlapping
-guard pair whose values could compare the wrong way.  The strongest
-interpolant of an entailing pair projects the private variables of the left
-side out via sup quantifiers; the weakest projects the right side's private
-variables out via inf.
+guard pair whose values could compare the wrong way.  Each interpolant of
+an entailing pair is one call to :func:`~linquant.qelim.eliminate`: the
+strongest is the left side under sup binders over its private variables,
+the weakest the right side under inf binders over its private variables.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 from .errors import NotEntailed
 from .logic import fm_witness, to_dnf
 from .normalform import is_partitioning, make_partitioning
-from .qelim import eliminate, merge_equal_values, simplify_body
+from .qelim import eliminate
+# unused here, but bench/tracing.py wraps these names in this module
+from .qelim import merge_equal_values, simplify_body  # noqa: F401
 from .terms import (
     Atom,
     Disjunct,
@@ -30,30 +32,28 @@ from .terms import (
 
 def _partitioned(q: Quantity) -> tuple[GuardedTerm, ...]:
     """Quantifier-free, partitioning view of a quantity."""
-    qf = eliminate(q) if q.prefix else q
-    body = qf.body
-    if not is_partitioning(body):
-        body = make_partitioning(body)
-    return body
+    if q.prefix:
+        return eliminate(q).body  # every round ends partitioning
+    if is_partitioning(q.body):
+        return q.body
+    return make_partitioning(q.body)
 
 
 def _pair_violation(guard_i, guard_j, value_i, value_j, variables) -> Valuation | None:
     """A valuation with both guards true and value_i > value_j, if any."""
+    if isinstance(value_i, InfExpr) and value_i.sign < 0:
+        return None  # -oo entails anything
+    if isinstance(value_j, InfExpr) and value_j.sign > 0:
+        return None  # anything entails oo
+    if isinstance(value_i, InfExpr) or isinstance(value_j, InfExpr):
+        gap = ()  # oo on the left or -oo on the right: any overlap violates
+    else:
+        gap = (Atom(value_i, Rel.GT, value_j),)
     for di in to_dnf(guard_i):
         for dj in to_dnf(guard_j):
             seen = set(di.atoms)
-            combined = di.atoms + tuple(a for a in dj.atoms if a not in seen)
-            if isinstance(value_i, InfExpr) and value_i.sign < 0:
-                continue  # -oo entails anything
-            if isinstance(value_j, InfExpr) and value_j.sign > 0:
-                continue  # anything entails oo
-            base = Disjunct(combined)
-            if isinstance(value_i, InfExpr) or isinstance(value_j, InfExpr):
-                # oo on the left or -oo on the right: any overlap violates
-                witness = fm_witness(base, extra_vars=variables)
-            else:
-                gap = Atom(value_i, Rel.GT, value_j)
-                witness = fm_witness(Disjunct(combined + (gap,)), extra_vars=variables)
+            combined = di.atoms + tuple(a for a in dj.atoms if a not in seen) + gap
+            witness = fm_witness(Disjunct(combined), extra_vars=variables)
             if witness is not None:
                 return witness
     return None
@@ -75,12 +75,9 @@ def entails(f: Quantity, g: Quantity) -> Valuation | None:
 
 
 def _project(q: Quantity, variables, quant: Quant, *, simplify: bool) -> Quantity:
-    body = merge_equal_values(_partitioned(q))
-    prefix = tuple((quant, v) for v in variables)
-    result = eliminate(Quantity(prefix, body))
-    if simplify:
-        result = Quantity((), simplify_body(result.body))
-    return result
+    # the binders go outermost, so q's own quantifiers are eliminated first
+    binders = tuple((quant, v) for v in variables)
+    return eliminate(Quantity(binders + q.prefix, q.body), simplify=simplify)
 
 
 def strongest_interpolant(f: Quantity, g: Quantity, *, simplify: bool = True) -> Quantity:

@@ -163,7 +163,7 @@ def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     disjuncts = []
     seen: set[frozenset] = set()
     for d in guard_disjuncts(guard):
-        atoms = []
+        atoms: dict[Atom, None] = {}  # ordered set
         dead = False
         for atom in d:
             iso = fold_atom(isolate(atom, var))
@@ -172,8 +172,7 @@ def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
             if iso is FALSE:
                 dead = True
                 break
-            if iso not in atoms:
-                atoms.append(iso)
+            atoms[iso] = None
         if dead:
             continue
         nd = Disjunct(tuple(atoms))

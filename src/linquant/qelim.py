@@ -34,7 +34,7 @@ from .logic import (
     refine_dnf,
     to_dnf,
 )
-from .normalform import check_well_formed, is_partitioning, to_gnf
+from .normalform import check_well_formed, is_partitioning, make_partitioning, to_gnf
 from .terms import (
     FALSE,
     NEG_OO,
@@ -318,7 +318,12 @@ def pointwise_min(bodies, *, check: bool = True) -> Body:
 
 
 def merge_equal_values(body: Body) -> Body:
-    """Join terms carrying structurally equal values by disjoining guards."""
+    """Join terms carrying structurally equal values by disjoining guards.
+
+    The body must be partitioning (or at least have pairwise-disjoint
+    guards): where two equal-valued guards overlap, their sum is twice the
+    value but the merged term carries it once.
+    """
     order: list[ExtLinExpr] = []
     groups: dict[ExtLinExpr, list[BoolExpr]] = {}
     for term in body:
@@ -353,7 +358,8 @@ def eliminate(q: Quantity, *, simplify: bool = False) -> Quantity:
     normal form splits those guards without re-normalising them.  The
     optional ``simplify`` pass additionally drops zero-valued and
     unsatisfiable terms from the final result (still semantics-preserving,
-    but no longer partitioning).
+    but no longer partitioning); a quantifier-free input is made
+    partitioning first, which that pass requires.
     """
     violation = check_well_formed(q)
     if violation is not None:
@@ -372,13 +378,16 @@ def eliminate(q: Quantity, *, simplify: bool = False) -> Quantity:
             bad = check_well_formed(Quantity((), body))
             assert bad is None, f"elimination broke well-formedness: {bad}"
     if simplify:
+        if not (partitioned or is_partitioning(body)):
+            body = make_partitioning(body)
         body = simplify_body(body)
     return Quantity((), body)
 
 
 def simplify_body(body: Body) -> Body:
     """Fold guards, drop unsatisfiable, redundant, and zero-valued terms,
-    merge equal values.  Never changes the denoted function."""
+    merge equal values.  The body must be partitioning; then the denoted
+    function never changes (see :func:`merge_equal_values`)."""
     kept: list[GuardedTerm] = []
     for term in body:
         disjuncts = [reduce_disjunct(d) for d in to_dnf(term.guard)]

@@ -244,12 +244,6 @@ class TestCheckAndGnf:
         assert code == 0 and out.strip() == "1"
 
 
-def test_selftest_small(capsys):
-    code, out, _ = run(capsys, "selftest", "--cases", "4", "--samples", "10", "--seed", "3")
-    assert code == 0
-    assert "4/4" in out
-
-
 @pytest.mark.parametrize(
     "argv,code",
     [(["elim", "--jobs", "2", "f"], EXIT_USAGE), ([], EXIT_USAGE), (["--help"], 0)],

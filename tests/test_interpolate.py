@@ -10,7 +10,9 @@ from linquant import (
     GenParams,
     LinExpr,
     NotEntailed,
+    Quant,
     Quantity,
+    eliminate,
     entails,
     equiv_sample,
     eval_quantity,
@@ -169,13 +171,26 @@ class TestEntailsSamplingAgreement:
         assert saw_no > 10  # random pairs rarely entail
 
 
+# the left side has its own sup prefix and a private free variable u
+QUANTIFIED_PAIR = (
+    "sup y : [x >= 0 && y <= x && u <= 0] * (y + u)",
+    "[x >= 0] * (2*x + 1)",
+)
+
+
 class TestSandwich:
     def test_constructed_pairs(self):
-        for seed in range(25):
-            f, g = entailing_pair(seed)
+        pairs = [entailing_pair(seed) for seed in range(25)]
+        pairs.append(tuple(parse_quantity(text) for text in QUANTIFIED_PAIR))
+        for f, g in pairs:
             assert entails(f, g) is None
             s = strongest_interpolant(f, g)
             w = weakest_interpolant(f, g)
+            # each interpolant is one elimination, private binders outermost
+            sup_f = tuple((Quant.SUP, v) for v in sorted(free_vars(f) - free_vars(g)))
+            inf_g = tuple((Quant.INF, v) for v in sorted(free_vars(g) - free_vars(f)))
+            assert s == eliminate(Quantity(sup_f + f.prefix, f.body), simplify=True)
+            assert w == eliminate(Quantity(inf_g + g.prefix, g.body), simplify=True)
             shared = free_vars(f) & free_vars(g)
             assert free_vars(s) <= shared
             assert free_vars(w) <= shared

@@ -410,6 +410,15 @@ class TestEliminate:
         expected = parse_quantity("[x >= 0] * 2*x")
         assert equiv_sample(projected, expected, 500, seed=21) is None
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[x > 0] * 1 + [x > 1] * 1", "[x >= 0 && y >= 0] * (x + 1) + [x <= 1] * (x + 1)"],
+    )
+    def test_simplify_quantifier_free_overlap(self, text):
+        # overlapping equal-valued terms add up; merging them unpartitioned would not
+        q = parse_quantity(text)
+        assert equiv_sample(eliminate(q, simplify=True), q, 500, seed=31) is None
+
     def test_rejects_ill_formed(self):
         q = parse_quantity("sup x : [x > 0] * oo + [x > -1] * (-oo)")
         with pytest.raises(WellFormednessViolation):
@@ -439,6 +448,21 @@ class TestEliminate:
                 got = eval_quantity(sigma, low.body)
                 want = negate(eval_quantity(sigma, high.body))
                 assert ext_cmp(got, want) == 0, (case, sigma, got, want)
+
+    def test_adjacent_same_kind_quantifiers_commute(self):
+        # sup x : sup y : f == sup y : sup x : f, and dually for inf; no oracle
+        params = GenParams(vars=3, summands=2, atoms_per_guard=2, infinity_prob=0.1,
+                           quantifiers=0)
+        for case in range(40):
+            q = random_quantity(params, seed=97_000 + case)
+            variables = sorted(fvars_body(q.body))
+            if len(variables) < 2:
+                continue
+            x, y = variables[:2]
+            for quant in Quant:
+                xy = eliminate(Quantity(((quant, x), (quant, y)), q.body))
+                yx = eliminate(Quantity(((quant, y), (quant, x)), q.body))
+                assert equiv_sample(xy, yx, 20, seed=case) is None, (case, quant)
 
     def test_free_vars_shrink_random(self):
         for case in range(25):
