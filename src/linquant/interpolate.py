@@ -12,14 +12,13 @@ the weakest the right side under inf binders over its private variables.
 from __future__ import annotations
 
 from .errors import NotEntailed
-from .logic import fm_witness, to_dnf
+from .logic import conjoin, fm_witness, to_dnf
 from .normalform import is_partitioning, make_partitioning
 from .qelim import eliminate
 # unused here, but bench/tracing.py wraps these names in this module
 from .qelim import merge_equal_values, simplify_body  # noqa: F401
 from .terms import (
     Atom,
-    Disjunct,
     GuardedTerm,
     InfExpr,
     Quant,
@@ -51,9 +50,7 @@ def _pair_violation(guard_i, guard_j, value_i, value_j, variables) -> Valuation 
         gap = (Atom(value_i, Rel.GT, value_j),)
     for di in to_dnf(guard_i):
         for dj in to_dnf(guard_j):
-            seen = set(di.atoms)
-            combined = di.atoms + tuple(a for a in dj.atoms if a not in seen) + gap
-            witness = fm_witness(Disjunct(combined), extra_vars=variables)
+            witness = fm_witness(conjoin(di, dj.atoms + gap), extra_vars=variables)
             if witness is not None:
                 return witness
     return None

@@ -11,6 +11,12 @@ arithmetic is on Python integers, so no verdict is approximate.  A
 satisfying valuation is read back by reversing the elimination order and
 picking a point inside each residual interval, computed with exact
 rationals from the rows of that stage.
+
+A guard becomes disjuncts in one place, :func:`to_dnf`: a guard already
+shaped as a disjunction of conjunctions is split as it stands, any other
+goes through negation normal form.  Every layer that builds disjuncts
+extends one with :func:`conjoin` and drops repeated atom sets with
+:func:`unique`.
 """
 
 from __future__ import annotations
@@ -173,60 +179,83 @@ def _nnf(phi: BoolExpr, positive: bool) -> BoolExpr:
     raise TypeError(f"not a Boolean expression: {phi!r}")
 
 
-def _conjoin(d1: Disjunct, d2: Disjunct) -> Disjunct:
-    seen = set(d1.atoms)
-    extra = tuple(a for a in d2.atoms if a not in seen)
-    return Disjunct(d1.atoms + extra)
+def conjoin(d: Disjunct, atoms) -> Disjunct:
+    """The disjunct ``d`` extended by ``atoms``, each atom kept once."""
+    return Disjunct(tuple(dict.fromkeys((*d.atoms, *atoms))))
+
+
+def unique(disjuncts) -> list[Disjunct]:
+    """The first disjunct of each distinct atom set, in order."""
+    seen: set[frozenset] = set()
+    out: list[Disjunct] = []
+    for d in disjuncts:
+        key = frozenset(d.atoms)
+        if key not in seen:
+            seen.add(key)
+            out.append(d)
+    return out
+
+
+def _split(phi: BoolExpr) -> list[Disjunct] | None:
+    """The satisfiable disjuncts of an Or-tree of And-trees of atoms and
+    constants, each atom folded and kept once; None for any other shape.
+
+    The walk keeps an explicit stack, so long chains cost no recursion.
+    """
+    out: list[Disjunct] = []
+    disjuncts = [phi]
+    while disjuncts:
+        node = disjuncts.pop()
+        if isinstance(node, Or):
+            disjuncts += (node.rhs, node.lhs)  # pop order is left to right
+            continue
+        atoms: dict[BoolExpr, None] = {}  # ordered set
+        conjuncts = [node]
+        while conjuncts:
+            leaf = conjuncts.pop()
+            if isinstance(leaf, And):
+                conjuncts += (leaf.rhs, leaf.lhs)
+            elif isinstance(leaf, Atom):
+                atoms[fold_atom(leaf)] = None
+            elif isinstance(leaf, (TrueExpr, FalseExpr)):
+                atoms[leaf] = None
+            else:
+                return None
+        atoms.pop(TRUE, None)
+        d = Disjunct(tuple(atoms))
+        if FALSE not in atoms and disjunct_sat(d):
+            out.append(d)
+    return out
 
 
 def _dnf_of_nnf(phi: BoolExpr) -> list[Disjunct]:
-    if isinstance(phi, Atom):
-        folded = fold_atom(phi)
-        if folded is TRUE:
-            return [Disjunct()]
-        if folded is FALSE:
-            return []
-        return [Disjunct((folded,))]
-    if isinstance(phi, TrueExpr):
-        return [Disjunct()]
-    if isinstance(phi, FalseExpr):
-        return []
     if isinstance(phi, Or):
         return _dnf_of_nnf(phi.lhs) + _dnf_of_nnf(phi.rhs)
     if isinstance(phi, And):
         left = _dnf_of_nnf(phi.lhs)
         right = _dnf_of_nnf(phi.rhs)
-        out: list[Disjunct] = []
-        keys: set[frozenset] = set()
-        for d1 in left:
-            for d2 in right:
-                merged = _conjoin(d1, d2)
-                key = frozenset(merged.atoms)
-                if key not in keys and disjunct_sat(merged):
-                    keys.add(key)
-                    out.append(merged)
-        return out
-    raise TypeError(f"unexpected node in NNF: {phi!r}")
+        product = unique(conjoin(d1, d2.atoms) for d1 in left for d2 in right)
+        return [d for d in product if disjunct_sat(d)]
+    return _split(phi)  # an atom or a constant
 
 
 @lru_cache(maxsize=1 << 14)
 def _to_dnf_cached(phi: BoolExpr) -> tuple[Disjunct, ...]:
-    disjuncts = _dnf_of_nnf(_nnf(phi, True))
-    seen: set[frozenset] = set()
-    unique: list[Disjunct] = []
-    for d in disjuncts:
-        key = frozenset(d.atoms)
-        if key not in seen:
-            seen.add(key)
-            unique.append(d)
-    return tuple(unique)
+    disjuncts = _split(phi)
+    if disjuncts is None:
+        disjuncts = _dnf_of_nnf(_nnf(phi, True))
+    return tuple(unique(disjuncts))
 
 
 def to_dnf(phi: BoolExpr) -> list[Disjunct]:
     """Disjunctive normal form with unsatisfiable disjuncts pruned.
 
     The returned list's disjunction is equivalent to ``phi``; the empty
-    list encodes false.
+    list encodes false.  Atoms come folded, each disjunct keeps an atom
+    once and no two disjuncts share an atom set.  A guard already shaped
+    as a disjunction of conjunctions is split as it stands, in order;
+    any other guard goes through negation normal form and the product of
+    its conjunctions.
     """
     return list(_to_dnf_cached(phi))
 
@@ -258,52 +287,8 @@ def refine_dnf(state: list[Disjunct], guard: BoolExpr) -> list[Disjunct]:
     per-step satisfiability checks stay cheap no matter how many guards
     have been conjoined before.
     """
-    out: list[Disjunct] = []
-    keys: set[frozenset] = set()
-    for branch in to_dnf(guard):
-        for d in state:
-            merged = _conjoin(d, branch)
-            if not disjunct_sat(merged):
-                continue
-            reduced = reduce_disjunct(merged)
-            key = frozenset(reduced.atoms)
-            if key not in keys:
-                keys.add(key)
-                out.append(reduced)
-    return out
-
-
-def guard_disjuncts(phi: BoolExpr) -> list[Disjunct]:
-    """Split a guard already in DNF shape; falls back to full conversion."""
-    out: list[Disjunct] = []
-
-    def atoms_of(conj: BoolExpr) -> tuple[Atom, ...] | None:
-        if isinstance(conj, Atom):
-            return (conj,)
-        if isinstance(conj, TrueExpr):
-            return ()
-        if isinstance(conj, And):
-            a = atoms_of(conj.lhs)
-            b = atoms_of(conj.rhs)
-            if a is None or b is None:
-                return None
-            return a + b
-        return None
-
-    def walk(node: BoolExpr) -> bool:
-        if isinstance(node, Or):
-            return walk(node.lhs) and walk(node.rhs)
-        if isinstance(node, FalseExpr):
-            return True
-        atoms = atoms_of(node)
-        if atoms is None:
-            return False
-        out.append(Disjunct(atoms))
-        return True
-
-    if walk(phi):
-        return out
-    return to_dnf(phi)
+    merged = (conjoin(d, branch.atoms) for branch in to_dnf(guard) for d in state)
+    return unique(reduce_disjunct(m) for m in merged if disjunct_sat(m))
 
 
 # Fourier-Motzkin satisfiability ------------------------------------------
@@ -440,86 +425,15 @@ def bool_sat(phi: BoolExpr) -> bool:
 
 @lru_cache(maxsize=1 << 16)
 def atom_plane(atom: Atom):
-    """Decompose an atom into its canonical hyperplane and orientation.
-
-    Returns ``("const", truth)`` for atoms that fold to a constant, else
-    ``("plane", expr, positive, rel)`` where the atom holds iff
+    """Decompose an atom that does not fold into its canonical hyperplane
+    and orientation ``(expr, positive, rel)``: the atom holds iff
     ``rel.holds(sign)`` for the sign of ``expr`` (negated when not
     ``positive``).  Atoms over the same hyperplane share the same expr.
     """
-    folded = fold_atom(atom)
-    if folded is TRUE:
-        return ("const", True)
-    if folded is FALSE:
-        return ("const", False)
-    diff = folded.lhs - folded.rhs  # folded atoms have two finite sides
+    diff = atom.lhs - atom.rhs  # atoms that do not fold have two finite sides
     lead = min(diff.coeffs)
     coeff = diff.coeffs[lead]
-    expr = diff.scale(Fraction(1) / coeff)
-    return ("plane", expr, coeff > 0, folded.rel)
-
-
-def eval_signs(phi: BoolExpr, signs: dict) -> bool | None:
-    """Three-valued evaluation under partial hyperplane signs.
-
-    ``signs`` maps canonical hyperplane expressions to -1, 0, or 1; a
-    guard whose value the fixed signs already force evaluates to True or
-    False, anything else to None.
-    """
-    if isinstance(phi, Atom):
-        plane = atom_plane(phi)
-        if plane[0] == "const":
-            return plane[1]
-        _, expr, positive, rel = plane
-        sign = signs.get(expr)
-        if sign is None:
-            return None
-        return rel.holds(sign if positive else -sign)
-    if isinstance(phi, TrueExpr):
-        return True
-    if isinstance(phi, FalseExpr):
-        return False
-    if isinstance(phi, Not):
-        inner = eval_signs(phi.arg, signs)
-        return None if inner is None else not inner
-    if isinstance(phi, And):
-        left = eval_signs(phi.lhs, signs)
-        if left is False:
-            return False
-        right = eval_signs(phi.rhs, signs)
-        if right is False:
-            return False
-        return True if (left is True and right is True) else None
-    if isinstance(phi, Or):
-        left = eval_signs(phi.lhs, signs)
-        if left is True:
-            return True
-        right = eval_signs(phi.rhs, signs)
-        if right is True:
-            return True
-        return False if (left is False and right is False) else None
-    raise TypeError(f"not a Boolean expression: {phi!r}")
-
-
-def guard_planes(phi: BoolExpr) -> list[LinExpr]:
-    """Canonical hyperplanes occurring in a guard, in syntactic order."""
-    out: list[LinExpr] = []
-    seen: set[LinExpr] = set()
-
-    def walk(node: BoolExpr):
-        if isinstance(node, Atom):
-            plane = atom_plane(node)
-            if plane[0] == "plane" and plane[1] not in seen:
-                seen.add(plane[1])
-                out.append(plane[1])
-        elif isinstance(node, Not):
-            walk(node.arg)
-        elif isinstance(node, (And, Or)):
-            walk(node.lhs)
-            walk(node.rhs)
-
-    walk(phi)
-    return out
+    return diff.scale(Fraction(1) / coeff), coeff > 0, atom.rel
 
 
 def fm_witness(d: Disjunct, extra_vars=()) -> Valuation | None:

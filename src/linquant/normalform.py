@@ -5,22 +5,30 @@ The guarded normal form w.r.t. a variable additionally puts every guard in
 DNF and isolates the variable in every atom that mentions it.  Bodies whose
 values include both infinities on overlapping guards are ill-formed (their
 sum would be undefined); :func:`check_well_formed` detects this.
+
+:func:`cells` walks the product of several bodies, one term from each,
+pruning choices whose guards cannot hold together.  Pointwise max/min
+(:mod:`linquant.qelim`) and :func:`make_partitioning`, the pointwise sum
+of the two-term bodies ``[g] * v + [!g] * 0``, both walk it.
+:func:`is_partitioning` reads each guard as its
+:func:`~linquant.logic.to_dnf` disjuncts, which every engine caller
+computes next anyway.
 """
 
 from __future__ import annotations
 
 from .errors import UndefinedSum, WellFormednessViolation
 from .logic import (
+    atom_plane,
     bool_sat,
+    conjoin,
     disjunct_sat,
     dnf_to_bool,
-    eval_signs,
-    fold_atom,
-    guard_disjuncts,
-    guard_planes,
     isolate,
     reduce_disjunct,
     refine_dnf,
+    to_dnf,
+    unique,
 )
 from .terms import (
     FALSE,
@@ -75,56 +83,67 @@ def _sum_values(values) -> tuple[LinExpr, int]:
     return finite, inf_sign
 
 
+def cells(bodies):
+    """Walk the product of bodies, one term from each, in body order.
+
+    Yields ``(state, chosen)`` for every choice of terms whose guards can
+    hold together: ``state`` is the reduced DNF of the chosen guards'
+    conjunction (built with :func:`~linquant.logic.refine_dnf`), never
+    empty, and ``chosen`` the terms.  A choice is dropped as soon as its
+    growing conjunction is unsatisfiable.  The walk keeps an explicit
+    stack, since the number of bodies can reach the hundreds.
+    """
+    n = len(bodies)
+    stack: list[tuple[int, list[Disjunct], tuple[GuardedTerm, ...]]] = [
+        (0, [Disjunct()], ())
+    ]
+    while stack:
+        k, state, chosen = stack.pop()
+        if k == n:
+            yield state, chosen
+            continue
+        for term in reversed(bodies[k]):  # reversed: pop order matches body order
+            refined = refine_dnf(state, term.guard)
+            if refined:
+                stack.append((k + 1, refined, chosen + (term,)))
+
+
 def make_partitioning(body: Body) -> Body:
     """Expand a body so that exactly one guard holds at every valuation.
 
-    Enumerates sign patterns over the guards, pruning a pattern as soon as
-    its growing conjunction is unsatisfiable; each kept pattern's value is
-    the sum of the values whose guards it asserts.  Requires the body to be
+    The result is the pointwise sum of the two-term bodies
+    ``[g] * v + [!g] * 0``, one per term: each cell of their product
+    (see :func:`cells`) is guarded by the conjunction of its chosen guards
+    and carries the sum of its chosen values.  Requires the body to be
     well-formed, otherwise :class:`UndefinedSum` is raised.
     """
+    splits = [(t, GuardedTerm(Not(t.guard), ZERO_TERM.value)) for t in body]
     out: list[GuardedTerm] = []
-
-    def rec(i: int, partial: list[Disjunct], chosen_guards: list[BoolExpr], chosen_values):
-        if not partial:
-            return
-        if i == len(body):
-            finite, inf_sign = _sum_values(chosen_values)
-            value = InfExpr(inf_sign) if inf_sign else finite
-            out.append(GuardedTerm(and_all(chosen_guards), value))
-            return
-        term = body[i]
-        for guard_part, value in ((term.guard, term.value), (Not(term.guard), None)):
-            refined = refine_dnf(partial, guard_part)
-            rec(
-                i + 1,
-                refined,
-                chosen_guards + [guard_part],
-                chosen_values + ([value] if value is not None else []),
-            )
-
-    rec(0, [Disjunct()], [], [])
-    if not out:
-        return (ZERO_TERM,)
+    for _, chosen in cells(splits):
+        finite, inf_sign = _sum_values(t.value for t in chosen)
+        value = InfExpr(inf_sign) if inf_sign else finite
+        out.append(GuardedTerm(and_all(t.guard for t in chosen), value))
     return tuple(out)
 
 
 def is_partitioning(body: Body) -> bool:
     """Exactly one guard true everywhere: pairwise-disjoint and covering.
 
-    Decided exactly by branching on the signs of guard hyperplanes, with
-    Fourier-Motzkin pruning of infeasible sign combinations.  A branch
-    stops as soon as the fixed signs force every guard's truth value, so
-    only regions where guards actually interact get split.
+    Decided exactly by branching on the signs of the hyperplanes of the
+    guards' DNF atoms, with Fourier-Motzkin pruning of infeasible sign
+    combinations.  A branch stops as soon as the fixed signs force every
+    guard's truth value, so only regions where guards actually interact
+    get split.  It pays one :func:`~linquant.logic.to_dnf` per guard,
+    which every engine caller computes next anyway.
     """
-    guards = [t.guard for t in body]
-    planes_per_guard = [guard_planes(g) for g in guards]
+    guards = [to_dnf(t.guard) for t in body]
+    planes = [list(dict.fromkeys(atom_plane(a)[0] for d in g for a in d)) for g in guards]
     zero = LinExpr.const(0)
 
     def dfs(cell: Disjunct, signs: dict, undecided: list[int], trues: int) -> bool:
         still: list[int] = []
         for k in undecided:
-            value = eval_signs(guards[k], signs)
+            value = _eval_signs(guards[k], signs)
             if value is True:
                 trues += 1
                 if trues > 1:
@@ -133,7 +152,7 @@ def is_partitioning(body: Body) -> bool:
                 still.append(k)
         if not still:
             return trues == 1
-        split_plane = next(p for p in planes_per_guard[still[0]] if p not in signs)
+        split_plane = next(p for p in planes[still[0]] if p not in signs)
         branches = (
             (-1, (Atom(split_plane, Rel.LT, zero),)),
             (0, (Atom(split_plane, Rel.LE, zero), Atom(split_plane, Rel.GE, zero))),
@@ -153,37 +172,43 @@ def is_partitioning(body: Body) -> bool:
     return dfs(Disjunct(), {}, list(range(len(guards))), 0)
 
 
-def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
-    """DNF the guard, isolating ``var`` and folding decidable atoms.
+def _eval_signs(disjuncts: list[Disjunct], signs: dict) -> bool | None:
+    """Three-valued truth of a DNF under partial hyperplane signs.
 
-    Guards already in DNF shape are split directly; others are converted.
+    ``signs`` maps canonical hyperplane expressions to -1, 0, or 1; a DNF
+    whose value the fixed signs already force is True or False, any other
+    None.
+    """
+    result: bool | None = False
+    for d in disjuncts:
+        holds: bool | None = True
+        for atom in d:
+            expr, positive, rel = atom_plane(atom)
+            sign = signs.get(expr)
+            if sign is None:
+                holds = None
+            elif not rel.holds(sign if positive else -sign):
+                holds = False
+                break
+        if holds:
+            return True
+        if holds is None:
+            result = None
+    return result
+
+
+def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
+    """DNF the guard, isolating ``var`` in every atom.
+
     Disjuncts are reduced to minimal equivalent form and deduplicated,
     which keeps later per-disjunct eliminations from multiplying.
+    Isolation keeps each atom equivalent and unfoldable, so every
+    disjunct stays satisfiable.
     """
-    disjuncts = []
-    seen: set[frozenset] = set()
-    for d in guard_disjuncts(guard):
-        atoms: dict[Atom, None] = {}  # ordered set
-        dead = False
-        for atom in d:
-            iso = fold_atom(isolate(atom, var))
-            if iso is TRUE:
-                continue
-            if iso is FALSE:
-                dead = True
-                break
-            atoms[iso] = None
-        if dead:
-            continue
-        nd = Disjunct(tuple(atoms))
-        if not disjunct_sat(nd):
-            continue
-        nd = reduce_disjunct(nd)
-        key = frozenset(nd.atoms)
-        if key not in seen:
-            seen.add(key)
-            disjuncts.append(nd)
-    return dnf_to_bool(disjuncts)
+    disjuncts = [
+        reduce_disjunct(conjoin(Disjunct(), (isolate(a, var) for a in d))) for d in to_dnf(guard)
+    ]
+    return dnf_to_bool(unique(disjuncts))
 
 
 def to_gnf(q: Quantity, var: str, *, assume_partitioning: bool = False) -> Quantity:

@@ -10,9 +10,10 @@ the guarded-normal-form body in three layers:
   greatest lower bound, and an infinity-aware substitution of the chosen
   bound into the value expression;
 * recombine everything with a pointwise maximum (for sup) or minimum (for
-  inf) of partitioning bodies.  Each output cell is emitted as a
-  disjunction of conjunctions of atoms (the reduced DNF the combination
-  already holds), which the next round splits without re-normalising.
+  inf) of partitioning bodies, walking their product with
+  :func:`~linquant.normalform.cells`.  Each output cell is emitted as a
+  disjunction of conjunctions of atoms (the reduced DNF the walk already
+  holds), which the next round splits as it stands.
 
 All constructions prune guards that Fourier-Motzkin refutes; this keeps
 outputs near their simplified forms without changing semantics.
@@ -24,17 +25,17 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotIsolated, NotPartitioning
 from .logic import (
+    conjoin,
     disjunct_sat,
     dnf_to_bool,
     fold_atom,
-    guard_disjuncts,
     is_isolated_in,
     negate_atom,
     reduce_disjunct,
-    refine_dnf,
     to_dnf,
+    unique,
 )
-from .normalform import check_well_formed, is_partitioning, make_partitioning, to_gnf
+from .normalform import cells, check_well_formed, is_partitioning, make_partitioning, to_gnf
 from .terms import (
     FALSE,
     NEG_OO,
@@ -226,15 +227,9 @@ def eliminate_over_disjunct(
         selector = _selector_atoms(blist, i, upper=use_uppers)
         if selector is None:
             continue
-        guard_atoms = list(feas)
-        for a in selector:
-            if a not in guard_atoms:
-                guard_atoms.append(a)
-        if not disjunct_sat(Disjunct(tuple(guard_atoms))):
-            continue
-        terms.append(
-            GuardedTerm(and_all(guard_atoms), substitute_bound(value, var, blist[i - 1]))
-        )
+        cell = conjoin(Disjunct(tuple(feas)), selector)
+        if disjunct_sat(cell):
+            terms.append(GuardedTerm(cell.to_bool(), substitute_bound(value, var, blist[i - 1])))
     return tuple(terms)
 
 
@@ -252,49 +247,23 @@ def _pointwise_extreme(bodies: list[Body], maximum: bool, check: bool) -> Body:
     strict = Rel.GT if maximum else Rel.LT
     nonstrict = Rel.GE if maximum else Rel.LE
     out: list[GuardedTerm] = []
-
-    def emit(values: list[ExtLinExpr], state: list[Disjunct]) -> None:
+    for state, chosen in cells(bodies):
         # ``state`` is the reduced DNF of the chosen guards' conjunction, so
         # each cell is emitted as a disjunction of conjunctions of atoms
+        values = [t.value for t in chosen]
         for i in range(n):
             ties: list[Atom] = []
-            dead = False
             for k in range(n):
-                if k == i:
-                    continue
                 rel = strict if k < i else nonstrict
-                if not _append_folded(ties, Atom(values[i], rel, values[k])):
-                    dead = True
+                if k != i and not _append_folded(ties, Atom(values[i], rel, values[k])):
                     break
-            if dead:
-                continue
-            live = state
-            if ties:
-                live = []
-                seen: set[frozenset] = set()
-                for d in state:
-                    cell = Disjunct(d.atoms + tuple(a for a in ties if a not in d.atoms))
-                    key = frozenset(cell.atoms)
-                    if key not in seen and disjunct_sat(cell):
-                        seen.add(key)
-                        live.append(cell)
-            if live:
-                out.append(GuardedTerm(dnf_to_bool(live), values[i]))
-
-    # explicit stack: the recursion depth would otherwise grow with the
-    # number of bodies, which can reach the hundreds on later rounds
-    stack: list[tuple[int, list[Disjunct], tuple[ExtLinExpr, ...]]] = [
-        (0, [Disjunct()], ())
-    ]
-    while stack:
-        k, state, chosen = stack.pop()
-        if k == n:
-            emit(list(chosen), state)
-            continue
-        for term in reversed(bodies[k]):  # reversed: pop order matches body order
-            refined = refine_dnf(state, term.guard)
-            if refined:
-                stack.append((k + 1, refined, chosen + (term.value,)))
+            else:
+                live = state
+                if ties:
+                    live = unique(conjoin(d, ties) for d in state)
+                    live = [d for d in live if disjunct_sat(d)]
+                if live:
+                    out.append(GuardedTerm(dnf_to_bool(live), values[i]))
     assert out, "pointwise extreme of covering bodies cannot be empty"
     return tuple(out)
 
@@ -336,9 +305,7 @@ def merge_equal_values(body: Body) -> Body:
 
 def eliminate_var(quant: Quant, var: str, body: Body) -> Body:
     """One elimination round over a body already in GNF w.r.t. ``var``."""
-    tasks = [
-        (d, term.value) for term in body for d in guard_disjuncts(term.guard)
-    ]
+    tasks = [(d, term.value) for term in body for d in to_dnf(term.guard)]
     if not tasks:
         return (GuardedTerm(TRUE, LinExpr.const(0)),)
     sub_bodies = [eliminate_over_disjunct(quant, d, v, var) for d, v in tasks]

@@ -7,17 +7,24 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from linquant import (
+    NEG_OO,
+    OO,
     Atom,
     Disjunct,
     GenParams,
+    GuardedTerm,
     LinExpr,
     Quantity,
     Rel,
     Valuation,
+    check_well_formed,
     parse_quantity,
 )
+from linquant.terms import And, Not, Or
 from linquant.logic import atom_eval
 
 EX1_TEXT = "sup x : [y1 >= z -> (x - 2 < y1 && -x >= y3 && x >= y2)] * (2*x + z)"
@@ -198,3 +205,39 @@ def entailing_pair(seed: int):
         )
         extra_terms.append(GuardedTerm(guard, LinExpr.const(rng.randint(0, 3))))
     return f, Quantity((), f.body + tuple(extra_terms))
+
+
+def _small_lin() -> st.SearchStrategy[LinExpr]:
+    return st.builds(
+        lambda c, a, b: LinExpr(c, {"x": a, "y": b}),
+        st.integers(-3, 3),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+    )
+
+
+@st.composite
+def quantifier_free(draw, max_terms: int = 3) -> Quantity:
+    """A well-formed, quantifier-free quantity over x and y built from small
+    integers, so hypothesis shrinks it term by term and atom by atom.
+
+    Guards are And/Or/Not trees of up to four atoms (constant atoms
+    included); about one value in five is oo or -oo.
+    """
+    atoms = st.builds(Atom, _small_lin(), st.sampled_from(list(Rel)), st.builds(LinExpr))
+    guards = st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner)
+        ),
+        max_leaves=4,
+    )
+    values = st.builds(
+        lambda finite, inf: inf or finite,
+        _small_lin(),
+        st.sampled_from([None] * 8 + [OO, NEG_OO]),
+    )
+    terms = draw(st.lists(st.builds(GuardedTerm, guards, values), min_size=1, max_size=max_terms))
+    q = Quantity((), tuple(terms))
+    assume(check_well_formed(q) is None)
+    return q

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from linquant import (
     GenParams,
@@ -25,7 +26,7 @@ from linquant import (
 from linquant.parser import parse_quantity
 from linquant.terms import Atom, GuardedTerm, Rel, Valuation, fvars_body
 
-from conftest import val
+from conftest import quantifier_free, val
 
 
 class TestEntails:
@@ -77,6 +78,14 @@ class TestEntails:
         projected = parse_quantity("sup y : [x >= 0] * x + [x >= 0 && y <= x] * y")
         assert entails(projected, parse_quantity("[x >= 0] * (3*x)")) is None
         assert entails(parse_quantity("[x >= 0] * (3*x)"), projected) is not None
+
+    @settings(deadline=None, max_examples=60)
+    @given(f=quantifier_free(), g=quantifier_free())
+    def test_witness_violates(self, f, g):
+        # metamorphic: a returned witness is a point where f exceeds g
+        witness = entails(f, g)
+        assume(witness is not None)
+        assert ext_cmp(eval_quantity(witness, f.body), eval_quantity(witness, g.body)) > 0
 
 
 class TestStrongestInterpolant:

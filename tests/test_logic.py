@@ -13,6 +13,7 @@ from linquant.logic import (
     bool_eval,
     bool_sat,
     disjunct_sat,
+    dnf_to_bool,
     fm_witness,
     fold_atom,
     isolate,
@@ -139,6 +140,14 @@ class TestToDnf:
     def test_unsat_pruned(self):
         phi = And(atom(lin(0, x=1), "<", 0), atom(lin(0, x=1), ">", 1))
         assert to_dnf(phi) == []
+        # already a disjunction of conjunctions: the unsatisfiable disjunct,
+        # the constant atom, the repeated atom and the repeated disjunct go
+        a, b = atom(Y, ">", 0), atom(X, ">", 2)
+        shaped = Or(
+            Or(Or(phi, And(And(a, atom(1, ">", 0)), a)), And(b, a)),
+            And(a, atom(1, ">", 0)),
+        )
+        assert to_dnf(shaped) == [Disjunct((a,)), Disjunct((b, a))]
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
@@ -163,6 +172,7 @@ class TestToDnf:
             nodes.append(And(a, b) if combo < 0.6 else Or(a, b))
         phi = nodes[0]
         disjuncts = to_dnf(phi)
+        assert to_dnf(dnf_to_bool(disjuncts)) == disjuncts
         for _ in range(50):
             sigma = Valuation({v: Fraction(rng.randint(-12, 12), 4) for v in variables})
             direct = bool_eval(sigma, phi)

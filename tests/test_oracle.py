@@ -1,6 +1,7 @@
 """The brute-force semantic machinery itself: evaluation, region suprema,
 generator determinism, and sampled equivalence."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from linquant import (
     lin_eval,
     oracle_inf,
     oracle_sup,
+    print_quantity,
     random_quantity,
     to_gnf,
 )
@@ -151,6 +153,32 @@ class TestRandomQuantity:
         for seed in range(10):
             q = random_quantity(GenParams(partitioning=True, infinity_prob=0.2), seed)
             assert is_partitioning(q.body)
+
+    # Every partitioning corpus the suite draws from, as (params, seeds): the
+    # seeds cover each one a test can draw.  The generator builds these with
+    # make_partitioning, so a change there changes the tests' data; emitting
+    # DNF cells there once raised atoms per guard from 9 to 46 and hung the
+    # size-bound test.  Pinned: first 16 hex digits of the SHA-256 of the
+    # newline-joined printed quantities.
+    PAIR_PARAMS = GenParams(vars=2, summands=2, atoms_per_guard=2, infinity_prob=0.15,
+                            quantifiers=0, partitioning=True)
+
+    @pytest.mark.parametrize(
+        "params,seeds,pinned",
+        [
+            (GenParams(partitioning=True, infinity_prob=0.2), range(10), "30033d8ca10f3dfb"),
+            (PAIR_PARAMS, range(9_000, 9_180), "7517f9608334009a"),
+            (GenParams(vars=3, summands=3, atoms_per_guard=3, infinity_prob=0.1,
+                       quantifiers=1, partitioning=True),
+             range(88_000, 88_030), "dbafcb9544b976d8"),
+            (PAIR_PARAMS, [100_000 + 7 * case + k for case in range(200) for k in range(3)],
+             "6e069d7fe87fa038"),
+        ],
+        ids=["partitioning-on-request", "pointwise-agreement", "size-bounds", "criterion-10"],
+    )
+    def test_partitioning_corpora_pinned(self, params, seeds, pinned):
+        text = "\n".join(print_quantity(random_quantity(params, seed)) for seed in seeds)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pinned
 
 
 class TestEquivSample:

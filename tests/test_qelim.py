@@ -57,7 +57,7 @@ from linquant.terms import (
     fvars_body,
 )
 
-from conftest import atom, lin, val
+from conftest import atom, lin, quantifier_free, val
 
 # the bounded disjunct of the running example: x < y1+2, x <= -y3, x >= y2
 D_BOUNDED = Disjunct(
@@ -418,6 +418,14 @@ class TestEliminate:
         # overlapping equal-valued terms add up; merging them unpartitioned would not
         q = parse_quantity(text)
         assert equiv_sample(eliminate(q, simplify=True), q, 500, seed=31) is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(q=quantifier_free())
+    def test_quantifier_free_random(self, q):
+        # metamorphic: nothing to eliminate leaves the body as it is, and
+        # simplifying it (through make_partitioning) keeps its function
+        assert eliminate(q) == q
+        assert equiv_sample(eliminate(q, simplify=True), q, 60, seed=5) is None
 
     def test_rejects_ill_formed(self):
         q = parse_quantity("sup x : [x > 0] * oo + [x > -1] * (-oo)")
