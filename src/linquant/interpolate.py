@@ -50,7 +50,7 @@ def _pair_violation(guard_i, guard_j, value_i, value_j, variables) -> Valuation 
         gap = (Atom(value_i, Rel.GT, value_j),)
     for di in to_dnf(guard_i):
         for dj in to_dnf(guard_j):
-            witness = fm_witness(conjoin(di, dj.atoms + gap), extra_vars=variables)
+            witness = fm_witness(conjoin(di, dj + gap), extra_vars=variables)
             if witness is not None:
                 return witness
     return None

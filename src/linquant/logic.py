@@ -12,11 +12,11 @@ satisfying valuation is read back by reversing the elimination order and
 picking a point inside each residual interval, computed with exact
 rationals from the rows of that stage.
 
-A guard becomes disjuncts in one place, :func:`to_dnf`: a guard already
-shaped as a disjunction of conjunctions is split as it stands, any other
-goes through negation normal form.  Every layer that builds disjuncts
-extends one with :func:`conjoin` and drops repeated atom sets with
-:func:`unique`.
+A guard becomes disjuncts in one place, :func:`to_dnf`, through one walk,
+``_dnf``, that pushes negation inward as it goes and iterates the
+arguments of each n-ary ``And``/``Or``.  A disjunct is a tuple of atoms.
+Every layer that builds disjuncts extends one with :func:`conjoin` and
+drops repeated atom sets with :func:`unique`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .terms import (
     Rel,
     TrueExpr,
     Valuation,
+    and_all,
     fvars_expr,
     lin_eval,
     or_all,
@@ -71,13 +72,9 @@ def bool_eval(valuation: Valuation, phi: BoolExpr, _atom_cache: dict | None = No
     if isinstance(phi, Not):
         return not bool_eval(valuation, phi.arg, _atom_cache)
     if isinstance(phi, And):
-        return bool_eval(valuation, phi.lhs, _atom_cache) and bool_eval(
-            valuation, phi.rhs, _atom_cache
-        )
+        return all(bool_eval(valuation, arg, _atom_cache) for arg in phi.args)
     if isinstance(phi, Or):
-        return bool_eval(valuation, phi.lhs, _atom_cache) or bool_eval(
-            valuation, phi.rhs, _atom_cache
-        )
+        return any(bool_eval(valuation, arg, _atom_cache) for arg in phi.args)
     if isinstance(phi, TrueExpr):
         return True
     if isinstance(phi, FalseExpr):
@@ -158,30 +155,12 @@ def is_isolated_in(atom: Atom, var: str) -> bool:
     )
 
 
-# Negation-normal / disjunctive-normal form -------------------------------
-
-
-def _nnf(phi: BoolExpr, positive: bool) -> BoolExpr:
-    if isinstance(phi, Atom):
-        return phi if positive else negate_atom(phi)
-    if isinstance(phi, Not):
-        return _nnf(phi.arg, not positive)
-    if isinstance(phi, And):
-        a, b = _nnf(phi.lhs, positive), _nnf(phi.rhs, positive)
-        return And(a, b) if positive else Or(a, b)
-    if isinstance(phi, Or):
-        a, b = _nnf(phi.lhs, positive), _nnf(phi.rhs, positive)
-        return Or(a, b) if positive else And(a, b)
-    if isinstance(phi, TrueExpr):
-        return TRUE if positive else FALSE
-    if isinstance(phi, FalseExpr):
-        return FALSE if positive else TRUE
-    raise TypeError(f"not a Boolean expression: {phi!r}")
+# Disjunctive normal form ----------------------------------------------------
 
 
 def conjoin(d: Disjunct, atoms) -> Disjunct:
     """The disjunct ``d`` extended by ``atoms``, each atom kept once."""
-    return Disjunct(tuple(dict.fromkeys((*d.atoms, *atoms))))
+    return tuple(dict.fromkeys((*d, *atoms)))
 
 
 def unique(disjuncts) -> list[Disjunct]:
@@ -189,62 +168,56 @@ def unique(disjuncts) -> list[Disjunct]:
     seen: set[frozenset] = set()
     out: list[Disjunct] = []
     for d in disjuncts:
-        key = frozenset(d.atoms)
+        key = frozenset(d)
         if key not in seen:
             seen.add(key)
             out.append(d)
     return out
 
 
-def _split(phi: BoolExpr) -> list[Disjunct] | None:
-    """The satisfiable disjuncts of an Or-tree of And-trees of atoms and
-    constants, each atom folded and kept once; None for any other shape.
+def _dnf(phi: BoolExpr, positive: bool) -> list[Disjunct]:
+    """Disjuncts of ``phi`` (of its negation when not ``positive``).
 
-    The walk keeps an explicit stack, so long chains cost no recursion.
+    Negation is pushed inward as the walk goes, atoms come folded and each
+    disjunct keeps an atom once.  A conjunction's product is checked for
+    satisfiability after each factor with more than one disjunct and once
+    at the end, so a conjunction of atoms costs one check and one pass
+    over its atoms.  A disjunction's parts are concatenated, repeats
+    included.  Chains are iterated; only nesting recurses.
     """
-    out: list[Disjunct] = []
-    disjuncts = [phi]
-    while disjuncts:
-        node = disjuncts.pop()
-        if isinstance(node, Or):
-            disjuncts += (node.rhs, node.lhs)  # pop order is left to right
+    if isinstance(phi, Atom):
+        atom = fold_atom(phi if positive else negate_atom(phi))
+        if atom is TRUE:
+            return [()]
+        return [] if atom is FALSE else [(atom,)]
+    if isinstance(phi, Not):
+        return _dnf(phi.arg, not positive)
+    if isinstance(phi, (TrueExpr, FalseExpr)):
+        return [()] if isinstance(phi, TrueExpr) == positive else []
+    if not isinstance(phi, (And, Or)):
+        raise TypeError(f"not a Boolean expression: {phi!r}")
+    if isinstance(phi, Or) == positive:
+        return [d for arg in phi.args for d in _dnf(arg, positive)]
+    product: list[Disjunct] = [()]
+    pending: list[Atom] = []  # atoms of one-disjunct factors, conjoined in one go
+    for arg in phi.args:
+        factor = _dnf(arg, positive)
+        if len(factor) == 1:
+            pending += factor[0]
             continue
-        atoms: dict[BoolExpr, None] = {}  # ordered set
-        conjuncts = [node]
-        while conjuncts:
-            leaf = conjuncts.pop()
-            if isinstance(leaf, And):
-                conjuncts += (leaf.rhs, leaf.lhs)
-            elif isinstance(leaf, Atom):
-                atoms[fold_atom(leaf)] = None
-            elif isinstance(leaf, (TrueExpr, FalseExpr)):
-                atoms[leaf] = None
-            else:
-                return None
-        atoms.pop(TRUE, None)
-        d = Disjunct(tuple(atoms))
-        if FALSE not in atoms and disjunct_sat(d):
-            out.append(d)
-    return out
-
-
-def _dnf_of_nnf(phi: BoolExpr) -> list[Disjunct]:
-    if isinstance(phi, Or):
-        return _dnf_of_nnf(phi.lhs) + _dnf_of_nnf(phi.rhs)
-    if isinstance(phi, And):
-        left = _dnf_of_nnf(phi.lhs)
-        right = _dnf_of_nnf(phi.rhs)
-        product = unique(conjoin(d1, d2.atoms) for d1 in left for d2 in right)
-        return [d for d in product if disjunct_sat(d)]
-    return _split(phi)  # an atom or a constant
+        product = unique(conjoin(p, (*pending, *d)) for p in product for d in factor)
+        product = [p for p in product if disjunct_sat(p)]
+        if not product:
+            return product
+        pending = []
+    if pending:
+        product = [p for p in unique(conjoin(p, pending) for p in product) if disjunct_sat(p)]
+    return product
 
 
 @lru_cache(maxsize=1 << 14)
 def _to_dnf_cached(phi: BoolExpr) -> tuple[Disjunct, ...]:
-    disjuncts = _split(phi)
-    if disjuncts is None:
-        disjuncts = _dnf_of_nnf(_nnf(phi, True))
-    return tuple(unique(disjuncts))
+    return tuple(unique(_dnf(phi, True)))
 
 
 def to_dnf(phi: BoolExpr) -> list[Disjunct]:
@@ -252,16 +225,15 @@ def to_dnf(phi: BoolExpr) -> list[Disjunct]:
 
     The returned list's disjunction is equivalent to ``phi``; the empty
     list encodes false.  Atoms come folded, each disjunct keeps an atom
-    once and no two disjuncts share an atom set.  A guard already shaped
-    as a disjunction of conjunctions is split as it stands, in order;
-    any other guard goes through negation normal form and the product of
-    its conjunctions.
+    once and no two disjuncts share an atom set.  Disjuncts follow the
+    order of the guard: a disjunction's parts left to right, a
+    conjunction's product with its first factor outermost.
     """
     return list(_to_dnf_cached(phi))
 
 
 def dnf_to_bool(disjuncts) -> BoolExpr:
-    return or_all(d.to_bool() for d in disjuncts)
+    return or_all(and_all(d) for d in disjuncts)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -270,14 +242,14 @@ def reduce_disjunct(d: Disjunct) -> Disjunct:
 
     Scans from the back so earlier atoms win when two imply each other.
     """
-    atoms = list(d.atoms)
+    atoms = list(d)
     i = len(atoms) - 1
     while i >= 0:
         rest = atoms[:i] + atoms[i + 1 :]
-        if rest and not disjunct_sat(Disjunct(tuple(rest) + (negate_atom(atoms[i]),))):
+        if rest and not disjunct_sat((*rest, negate_atom(atoms[i]))):
             atoms.pop(i)
         i -= 1
-    return Disjunct(tuple(atoms))
+    return tuple(atoms)
 
 
 def refine_dnf(state: list[Disjunct], guard: BoolExpr) -> list[Disjunct]:
@@ -287,7 +259,7 @@ def refine_dnf(state: list[Disjunct], guard: BoolExpr) -> list[Disjunct]:
     per-step satisfiability checks stay cheap no matter how many guards
     have been conjoined before.
     """
-    merged = (conjoin(d, branch.atoms) for branch in to_dnf(guard) for d in state)
+    merged = (conjoin(d, branch) for branch in to_dnf(guard) for d in state)
     return unique(reduce_disjunct(m) for m in merged if disjunct_sat(m))
 
 
@@ -415,7 +387,7 @@ def _sat_cached(atom_key: frozenset) -> bool:
 
 def disjunct_sat(d: Disjunct) -> bool:
     """Decide whether some valuation satisfies every atom of the disjunct."""
-    return _sat_cached(frozenset(d.atoms))
+    return _sat_cached(frozenset(d))
 
 
 def bool_sat(phi: BoolExpr) -> bool:

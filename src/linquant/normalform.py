@@ -94,9 +94,7 @@ def cells(bodies):
     stack, since the number of bodies can reach the hundreds.
     """
     n = len(bodies)
-    stack: list[tuple[int, list[Disjunct], tuple[GuardedTerm, ...]]] = [
-        (0, [Disjunct()], ())
-    ]
+    stack: list[tuple[int, list[Disjunct], tuple[GuardedTerm, ...]]] = [(0, [()], ())]
     while stack:
         k, state, chosen = stack.pop()
         if k == n:
@@ -159,7 +157,7 @@ def is_partitioning(body: Body) -> bool:
             (1, (Atom(split_plane, Rel.GT, zero),)),
         )
         for sign, branch_atoms in branches:
-            extended = Disjunct(cell.atoms + branch_atoms)
+            extended = cell + branch_atoms
             if not disjunct_sat(extended):
                 continue
             signs[split_plane] = sign
@@ -169,7 +167,7 @@ def is_partitioning(body: Body) -> bool:
                 return False
         return True
 
-    return dfs(Disjunct(), {}, list(range(len(guards))), 0)
+    return dfs((), {}, list(range(len(guards))), 0)
 
 
 def _eval_signs(disjuncts: list[Disjunct], signs: dict) -> bool | None:
@@ -205,9 +203,7 @@ def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     Isolation keeps each atom equivalent and unfoldable, so every
     disjunct stays satisfiable.
     """
-    disjuncts = [
-        reduce_disjunct(conjoin(Disjunct(), (isolate(a, var) for a in d))) for d in to_dnf(guard)
-    ]
+    disjuncts = [reduce_disjunct(conjoin((), (isolate(a, var) for a in d))) for d in to_dnf(guard)]
     return dnf_to_bool(unique(disjuncts))
 
 

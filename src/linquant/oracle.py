@@ -71,8 +71,8 @@ def _collect_breakpoints(body, var: str, valuation: Valuation) -> list[Fraction]
         elif isinstance(phi, Not):
             scan(phi.arg)
         elif isinstance(phi, (And, Or)):
-            scan(phi.lhs)
-            scan(phi.rhs)
+            for arg in phi.args:
+                scan(arg)
 
     for term in body:
         scan(term.guard)
@@ -283,8 +283,8 @@ def _harvest_constants(q: Quantity) -> set[Fraction]:
         elif isinstance(phi, Not):
             scan(phi.arg)
         elif isinstance(phi, (And, Or)):
-            scan(phi.lhs)
-            scan(phi.rhs)
+            for arg in phi.args:
+                scan(arg)
 
     for term in q.body:
         scan(term.guard)

@@ -26,7 +26,6 @@ from .terms import (
     FALSE,
     OO,
     TRUE,
-    And,
     Atom,
     BoolExpr,
     ExtLinExpr,
@@ -38,6 +37,8 @@ from .terms import (
     Quant,
     Quantity,
     Rel,
+    and_all,
+    or_all,
 )
 
 _KEYWORDS = {"sup", "inf", "true", "false", "oo"}
@@ -171,16 +172,16 @@ class _Parser:
         return lhs
 
     def bool_or(self) -> BoolExpr:
-        node = self.bool_and()
+        parts = [self.bool_and()]
         while self.accept("||"):
-            node = Or(node, self.bool_and())
-        return node
+            parts.append(self.bool_and())
+        return or_all(parts)
 
     def bool_and(self) -> BoolExpr:
-        node = self.bool_not()
+        parts = [self.bool_not()]
         while self.accept("&&"):
-            node = And(node, self.bool_not())
-        return node
+            parts.append(self.bool_not())
+        return and_all(parts)
 
     def bool_not(self) -> BoolExpr:
         if self.accept("!"):

@@ -3,7 +3,9 @@
 ``parse_quantity(print_quantity(q))`` reproduces ``q`` structurally.  The
 JSON form tags every node with a ``kind`` discriminator; rationals are
 ``{"num": str, "den": str}`` and the infinite constants are the strings
-``"oo"`` / ``"-oo"``.
+``"oo"`` / ``"-oo"``.  The JSON form keeps binary ``and``/``or`` nodes with
+``lhs``/``rhs``: an n-ary chain is written as a left-nested chain of them
+and read back as one node.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ def print_bool(phi: BoolExpr, prec: int = 0) -> str:
         if isinstance(inner, (TrueExpr, FalseExpr)):
             return "!" + print_bool(inner)
         return "!(" + print_bool(inner) + ")"
-    if isinstance(phi, And):
-        text = print_bool(phi.lhs, _PREC_AND) + " && " + print_bool(phi.rhs, _PREC_AND + 1)
-        return f"({text})" if prec > _PREC_AND else text
-    if isinstance(phi, Or):
-        text = print_bool(phi.lhs, _PREC_OR) + " || " + print_bool(phi.rhs, _PREC_OR + 1)
-        return f"({text})" if prec > _PREC_OR else text
+    if isinstance(phi, (And, Or)):
+        # a nested chain after the first argument keeps its parentheses
+        op, own = (" && ", _PREC_AND) if isinstance(phi, And) else (" || ", _PREC_OR)
+        first, *rest = phi.args
+        text = op.join([print_bool(first, own), *(print_bool(arg, own + 1) for arg in rest)])
+        return f"({text})" if prec > own else text
     raise TypeError(f"not a Boolean expression: {phi!r}")
 
 
@@ -144,10 +146,12 @@ def _bool_to_json(phi: BoolExpr):
         }
     if isinstance(phi, Not):
         return {"kind": "not", "arg": _bool_to_json(phi.arg)}
-    if isinstance(phi, And):
-        return {"kind": "and", "lhs": _bool_to_json(phi.lhs), "rhs": _bool_to_json(phi.rhs)}
-    if isinstance(phi, Or):
-        return {"kind": "or", "lhs": _bool_to_json(phi.lhs), "rhs": _bool_to_json(phi.rhs)}
+    if isinstance(phi, (And, Or)):
+        kind = "and" if isinstance(phi, And) else "or"
+        node = _bool_to_json(phi.args[0])
+        for arg in phi.args[1:]:
+            node = {"kind": kind, "lhs": node, "rhs": _bool_to_json(arg)}
+        return node
     raise TypeError(f"not a Boolean expression: {phi!r}")
 
 
@@ -161,10 +165,13 @@ def _bool_from_json(d) -> BoolExpr:
         return Atom(_expr_from_json(d["lhs"]), Rel(d["rel"]), _expr_from_json(d["rhs"]))
     if kind == "not":
         return Not(_bool_from_json(d["arg"]))
-    if kind == "and":
-        return And(_bool_from_json(d["lhs"]), _bool_from_json(d["rhs"]))
-    if kind == "or":
-        return Or(_bool_from_json(d["lhs"]), _bool_from_json(d["rhs"]))
+    if kind in ("and", "or"):
+        rights = []
+        while d["kind"] == kind:  # down the left spine of the chain
+            rights.append(d["rhs"])
+            d = d["lhs"]
+        args = [_bool_from_json(d), *(_bool_from_json(r) for r in reversed(rights))]
+        return (And if kind == "and" else Or)(*args)
     raise LinquantError(f"unknown Boolean node kind {kind!r}")
 
 

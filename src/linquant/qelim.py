@@ -227,9 +227,9 @@ def eliminate_over_disjunct(
         selector = _selector_atoms(blist, i, upper=use_uppers)
         if selector is None:
             continue
-        cell = conjoin(Disjunct(tuple(feas)), selector)
+        cell = conjoin(feas, selector)
         if disjunct_sat(cell):
-            terms.append(GuardedTerm(cell.to_bool(), substitute_bound(value, var, blist[i - 1])))
+            terms.append(GuardedTerm(and_all(cell), substitute_bound(value, var, blist[i - 1])))
     return tuple(terms)
 
 

@@ -2,9 +2,12 @@
 
 A quantity is a prefix of sup/inf binders over a sum of guarded terms
 ``[guard] * value``, where guards are Boolean combinations of linear
-inequalities and values are (extended) linear expressions.  All node types
-are immutable and hashable, so terms can be shared freely and used as cache
-keys.  The infinite constants ``OO``/``NEG_OO`` are defined in
+inequalities and values are (extended) linear expressions.  ``And`` and
+``Or`` are n-ary: a left-associated chain such as ``a || b || c`` is one
+node, so a guard is only as deep as its nesting, not as wide as its
+chains.  A :data:`Disjunct` (a conjunction of atoms) is a plain tuple of
+atoms.  All node types are immutable and hashable, so terms can be shared
+freely and used as cache keys.  The infinite constants ``OO``/``NEG_OO`` are defined in
 :mod:`linquant.numerics` and re-exported here: they are both terms and
 values.
 """
@@ -12,7 +15,7 @@ values.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,51 +241,62 @@ class Not:
     arg: "BoolExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    lhs: "BoolExpr"
-    rhs: "BoolExpr"
+class _Connective:
+    """A chain of two or more guards joined by one connective.
+
+    A leading argument of the same connective is spliced in, so a
+    left-associated chain is one node: ``And(And(a, b), c) == And(a, b, c)``.
+    A nested argument in any other position stays nested.
+    """
+
+    __slots__ = ("args", "_hash")
+
+    def __init__(self, *args: "BoolExpr"):
+        if type(args[0]) is type(self):
+            args = args[0].args + args[1:]
+        self.args: tuple[BoolExpr, ...] = args
+        self._hash: int | None = None
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is type(self) and self.args == other.args)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self.args))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self.args!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    lhs: "BoolExpr"
-    rhs: "BoolExpr"
+class And(_Connective):
+    __slots__ = ()
+
+
+class Or(_Connective):
+    __slots__ = ()
 
 
 BoolExpr = Atom | Not | And | Or | TrueExpr | FalseExpr
 
+# A conjunction of atoms; the empty disjunct is true.
+Disjunct = tuple[Atom, ...]
+
 
 def and_all(parts: Iterable[BoolExpr]) -> BoolExpr:
-    """Left-associated conjunction; empty input is true."""
-    result: BoolExpr | None = None
-    for p in parts:
-        result = p if result is None else And(result, p)
-    return TRUE if result is None else result
+    """One conjunction node of the parts; empty input is true."""
+    args = tuple(parts)
+    if len(args) > 1:
+        return And(*args)
+    return args[0] if args else TRUE
 
 
 def or_all(parts: Iterable[BoolExpr]) -> BoolExpr:
-    """Left-associated disjunction; empty input is false."""
-    result: BoolExpr | None = None
-    for p in parts:
-        result = p if result is None else Or(result, p)
-    return FALSE if result is None else result
-
-
-@dataclass(frozen=True, slots=True)
-class Disjunct:
-    """A conjunction of atoms; the empty disjunct is true."""
-
-    atoms: tuple[Atom, ...] = ()
-
-    def to_bool(self) -> BoolExpr:
-        return and_all(self.atoms)
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
+    """One disjunction node of the parts; empty input is false."""
+    args = tuple(parts)
+    if len(args) > 1:
+        return Or(*args)
+    return args[0] if args else FALSE
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,7 +372,7 @@ def fvars_bool(phi: BoolExpr) -> set[str]:
     if isinstance(phi, Not):
         return fvars_bool(phi.arg)
     if isinstance(phi, (And, Or)):
-        return fvars_bool(phi.lhs) | fvars_bool(phi.rhs)
+        return set().union(*(fvars_bool(arg) for arg in phi.args))
     return set()
 
 
@@ -389,5 +403,5 @@ def count_atoms(phi: BoolExpr) -> int:
     if isinstance(phi, Not):
         return count_atoms(phi.arg)
     if isinstance(phi, (And, Or)):
-        return count_atoms(phi.lhs) + count_atoms(phi.rhs)
+        return sum(count_atoms(arg) for arg in phi.args)
     return 0

@@ -43,6 +43,20 @@ def craig_pair() -> tuple[Quantity, Quantity]:
     return parse_quantity(CRAIG_F_TEXT), parse_quantity(CRAIG_G_TEXT)
 
 
+# A 600-atom disjunction: as a binary tree it would be deeper than Python's
+# default recursion limit allows the engine's walks to go.
+WIDE_OR_TEXT = "[" + " || ".join(f"y > {i}" for i in range(600)) + "] * x"
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test at Python's default recursion limit; restored afterwards."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    yield 1_000
+    sys.setrecursionlimit(before)
+
+
 @pytest.fixture
 def fixed_recursion_limit():
     """Pin the recursion limit below any value the engine might raise it to,

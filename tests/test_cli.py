@@ -78,15 +78,21 @@ class TestElim:
         assert err.count("\n") == 1
 
     def test_too_deep_for_engine_exit_code(self, files, capsys):
-        # parses (the && chain is read iteratively) but the engine's tree
-        # walks over the guard exceed the CLI's recursion limit
-        chain = " && ".join(f"x > {i % 7}" for i in range(15_000))
+        # parses (one parser frame per ->) but the engine's walks over the
+        # right-nested implications exceed the CLI's recursion limit
+        chain = " -> ".join(f"x > {i % 7}" for i in range(15_000))
         limit = sys.getrecursionlimit()
         code, out, err = run(capsys, "elim", files("chain.lq", f"sup x : [{chain}] * 1"))
         assert code == 1
         assert out == ""
         assert err.startswith("too deep:") and err.count("\n") == 1
         assert sys.getrecursionlimit() == limit  # main restores the limit
+
+    def test_long_chain_eliminates(self, files, capsys):
+        # a && chain is one flat node, so its length costs no recursion
+        chain = " && ".join(f"x > {i % 7}" for i in range(15_000))
+        code, out, err = run(capsys, "elim", files("chain.lq", f"sup x : [{chain}] * 1"))
+        assert (code, out, err) == (0, "[true] * 1\n", "")
 
     def test_json_output(self, files, capsys):
         path = files("qf.lq", "[x >= 1/2] * oo")

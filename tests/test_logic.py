@@ -1,5 +1,6 @@
 """Boolean-level algorithms: DNF, isolation, FM satisfiability, folding."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linquant import Atom, Disjunct, LinExpr, NEG_OO, OO, Rel
+from linquant import Atom, Disjunct, GenParams, LinExpr, NEG_OO, OO, Rel, random_quantity
 from linquant.logic import (
     atom_eval,
     bool_eval,
@@ -21,9 +22,18 @@ from linquant.logic import (
     to_dnf,
 )
 from linquant.parser import parse_quantity
+from linquant.printer import print_bool
 from linquant.terms import FALSE, TRUE, And, Not, Or, Valuation
 
-from conftest import atom, grid_sat, lin, random_frac_disjunct, random_iso_disjunct, val
+from conftest import (
+    WIDE_OR_TEXT,
+    atom,
+    grid_sat,
+    lin,
+    random_frac_disjunct,
+    random_iso_disjunct,
+    val,
+)
 
 X, Y, Z = lin(0, x=1), lin(0, y=1), lin(0, z=1)
 
@@ -178,6 +188,24 @@ class TestToDnf:
             direct = bool_eval(sigma, phi)
             via_dnf = any(all(atom_eval(sigma, a) for a in d) for d in disjuncts)
             assert direct == via_dnf
+
+    def test_wide_chain(self, default_recursion_limit):
+        guard = parse_quantity(WIDE_OR_TEXT).body[0].guard
+        assert to_dnf(guard) == [(a,) for a in guard.args]
+        assert to_dnf(Not(guard)) == [tuple(negate_atom(a) for a in guard.args)]
+
+    def test_generator_corpus_digest(self):
+        # every guard of a fixed generator corpus and its negation, printed
+        # in DNF; the digest pins disjunct order and atom order
+        params = GenParams(vars=3, summands=3, atoms_per_guard=6, quantifiers=0)
+        lines = [
+            print_bool(dnf_to_bool(to_dnf(phi)))
+            for seed in range(1000)
+            for term in random_quantity(params, seed).body
+            for phi in (term.guard, Not(term.guard))
+        ]
+        assert len(lines) == 3954
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "9cdae2b52897125f"
 
 
 class TestIsolate:

@@ -21,9 +21,19 @@ from linquant import (
 )
 from linquant.logic import atom_eval, bool_eval, is_isolated_in
 from linquant.parser import parse_body, parse_quantity
-from linquant.terms import Atom, And, GuardedTerm, Not, Or, Valuation, fvars_body, fvars_expr
+from linquant.terms import (
+    And,
+    Atom,
+    GuardedTerm,
+    Not,
+    Or,
+    Rel,
+    Valuation,
+    fvars_body,
+    fvars_expr,
+)
 
-from conftest import val
+from conftest import WIDE_OR_TEXT, val
 
 
 def _random_sigma(rng, variables):
@@ -151,6 +161,14 @@ class TestToGnf:
                 sigma = _random_sigma(rng, variables)
                 assert ext_cmp(eval_quantity(sigma, q.body), eval_quantity(sigma, gnf.body)) == 0
 
+    def test_wide_chain(self, default_recursion_limit):
+        q = parse_quantity(WIDE_OR_TEXT)
+        guard = q.body[0].guard
+        gnf = to_gnf(q, "y")
+        y_le_0 = Atom(LinExpr.var("y"), Rel.LE, LinExpr.const(0))
+        assert [t.guard for t in gnf.body] == [guard, y_le_0]
+        assert is_partitioning(gnf.body)
+
 
 def _guard_atoms(phi):
     if isinstance(phi, Atom):
@@ -158,7 +176,7 @@ def _guard_atoms(phi):
     if isinstance(phi, Not):
         return _guard_atoms(phi.arg)
     if isinstance(phi, (And, Or)):
-        return _guard_atoms(phi.lhs) + _guard_atoms(phi.rhs)
+        return [a for arg in phi.args for a in _guard_atoms(arg)]
     return []
 
 

@@ -130,7 +130,7 @@ def _atoms_of(phi) -> set:
     if isinstance(phi, A):
         return {phi}
     if isinstance(phi, (And, Or)):
-        return _atoms_of(phi.lhs) | _atoms_of(phi.rhs)
+        return set().union(*(_atoms_of(arg) for arg in phi.args))
     if isinstance(phi, Not):
         return _atoms_of(phi.arg)
     return set()
@@ -290,15 +290,15 @@ def dnf_split(guard):
     """Disjuncts of an Or-chain of And-chains of atoms (``true`` is the
     empty conjunction); None for any other shape."""
     if isinstance(guard, Or):
-        left, right = dnf_split(guard.lhs), dnf_split(guard.rhs)
-        return None if left is None or right is None else left + right
+        parts = [dnf_split(arg) for arg in guard.args]
+        return None if None in parts else [d for part in parts for d in part]
 
     def conj(node):
         if isinstance(node, Atom):
             return (node,)
         if isinstance(node, And):
-            a, b = conj(node.lhs), conj(node.rhs)
-            return None if a is None or b is None else a + b
+            parts = [conj(arg) for arg in node.args]
+            return None if None in parts else sum(parts, ())
         return None
 
     atoms = () if isinstance(guard, TrueExpr) else conj(guard)

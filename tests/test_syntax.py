@@ -1,5 +1,6 @@
 """Parser, printer, free variables, and leaf evaluation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,10 @@ from linquant import (
     quantity_to_json,
     random_quantity,
 )
+from linquant.printer import print_bool
 from linquant.terms import And, Not, Or, TrueExpr
 
-from conftest import EX1_TEXT, lin, val
+from conftest import EX1_TEXT, WIDE_OR_TEXT, lin, quantifier_free, val
 
 
 class TestParse:
@@ -38,7 +40,7 @@ class TestParse:
         term = ex1.body[0]
         # implication desugars to !lhs || rhs
         assert isinstance(term.guard, Or)
-        assert isinstance(term.guard.lhs, Not)
+        assert isinstance(term.guard.args[0], Not)
         assert term.value == lin(0, x=2, z=1)
 
     def test_minimal_program(self):
@@ -92,13 +94,13 @@ class TestParse:
         q = parse_quantity("[x > 0 || y > 0 && z > 0] * 1")
         guard = q.body[0].guard
         assert isinstance(guard, Or)
-        assert isinstance(guard.rhs, And)
+        assert isinstance(guard.args[1], And)
 
     def test_parenthesized_boolean_group(self):
         q = parse_quantity("[(x > 0 || y > 0) && z > 0] * 1")
         guard = q.body[0].guard
         assert isinstance(guard, And)
-        assert isinstance(guard.lhs, Or)
+        assert isinstance(guard.args[0], Or)
 
 
 class TestPrint:
@@ -123,6 +125,29 @@ class TestPrint:
             seed,
         )
         assert parse_quantity(print_quantity(q)) == q
+        assert quantity_from_json(quantity_to_json(q)) == q
+
+    @settings(deadline=None, max_examples=300)
+    @given(q=quantifier_free())
+    def test_round_trips_nested_chains(self, q):
+        # the strategy nests And/Or on either side of a connective
+        assert parse_quantity(print_quantity(q)) == q
+        assert quantity_from_json(quantity_to_json(q)) == q
+
+    def test_chain_splices_only_its_first_argument(self):
+        a, b, c = (Atom(LinExpr.var(v), Rel.GT, LinExpr.const(0)) for v in "xyz")
+        assert And(And(a, b), c) == And(a, b, c)
+        assert hash(And(And(a, b), c)) == hash(And(a, b, c))
+        nested = And(a, And(b, c))
+        assert nested.args == (a, And(b, c)) and nested != And(a, b, c)
+        assert print_bool(nested) == "x > 0 && (y > 0 && z > 0)"
+        assert Or(Or(a, b), c).args == (a, b, c) and And(Or(a, b), c).args == (Or(a, b), c)
+
+    def test_wide_chain_round_trips(self, default_recursion_limit):
+        q = parse_quantity(WIDE_OR_TEXT)
+        assert parse_quantity(print_quantity(q)) == q
+        assert quantity_from_json(json.loads(json.dumps(quantity_to_json(q)))) == q
+        assert len(q.body[0].guard.args) == 600
 
     def test_json_round_trip(self, ex1):
         assert quantity_from_json(quantity_to_json(ex1)) == ex1
