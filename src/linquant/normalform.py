@@ -7,10 +7,11 @@ values include both infinities on overlapping guards are ill-formed (their
 sum would be undefined); :func:`check_well_formed` detects this.
 
 :func:`cells` walks the product of several bodies, one term from each,
-pruning choices whose guards cannot hold together.  Pointwise max/min
-(:mod:`linquant.qelim`) and :func:`make_partitioning`, the pointwise sum
-of the two-term bodies ``[g] * v + [!g] * 0``, both walk it.
-:func:`is_partitioning` reads each guard as its
+pruning choices whose guards cannot hold together.  Three consumers walk
+it: pointwise max/min (:mod:`linquant.qelim`), :func:`make_partitioning`,
+the pointwise sum of the two-term :func:`splits` ``[g] * v + [!g] * 0``,
+and :func:`~linquant.interpolate.entails`, which compares both sides'
+summed values cell by cell.  :func:`is_partitioning` reads each guard as its
 :func:`~linquant.logic.to_dnf` disjuncts, which every engine caller
 computes next anyway.
 """
@@ -37,6 +38,7 @@ from .terms import (
     Atom,
     BoolExpr,
     Disjunct,
+    ExtLinExpr,
     GuardedTerm,
     InfExpr,
     LinExpr,
@@ -69,18 +71,24 @@ def check_well_formed(q: Quantity) -> WellFormednessViolation | None:
     return None
 
 
-def _sum_values(values) -> tuple[LinExpr, int]:
-    """Sum selected values symbolically; returns (finite part, infinity sign)."""
+def sum_values(values) -> ExtLinExpr:
+    """Sum values symbolically: the infinity when one is infinite, else the
+    finite sum.  Raises :class:`UndefinedSum` on ``oo + (-oo)``."""
     finite = LinExpr.const(0)
-    inf_sign = 0
+    infinite = None
     for v in values:
         if isinstance(v, InfExpr):
-            if inf_sign and inf_sign != v.sign:
+            if infinite is not None and infinite != v:
                 raise UndefinedSum("oo + (-oo) in a partitioning combination")
-            inf_sign = v.sign
+            infinite = v
         else:
             finite = finite + v
-    return finite, inf_sign
+    return finite if infinite is None else infinite
+
+
+def splits(body: Body) -> list[Body]:
+    """The two-term bodies ``[g] * v + [!g] * 0``, one per term, that sum to ``body``."""
+    return [(t, GuardedTerm(Not(t.guard), ZERO_TERM.value)) for t in body]
 
 
 def cells(bodies):
@@ -109,19 +117,16 @@ def cells(bodies):
 def make_partitioning(body: Body) -> Body:
     """Expand a body so that exactly one guard holds at every valuation.
 
-    The result is the pointwise sum of the two-term bodies
-    ``[g] * v + [!g] * 0``, one per term: each cell of their product
-    (see :func:`cells`) is guarded by the conjunction of its chosen guards
-    and carries the sum of its chosen values.  Requires the body to be
-    well-formed, otherwise :class:`UndefinedSum` is raised.
+    The result is the pointwise sum of the :func:`splits` of the body:
+    each cell of their product (see :func:`cells`) is guarded by the
+    conjunction of its chosen guards and carries the sum of its chosen
+    values.  Requires the body to be well-formed, otherwise
+    :class:`UndefinedSum` is raised.
     """
-    splits = [(t, GuardedTerm(Not(t.guard), ZERO_TERM.value)) for t in body]
-    out: list[GuardedTerm] = []
-    for _, chosen in cells(splits):
-        finite, inf_sign = _sum_values(t.value for t in chosen)
-        value = InfExpr(inf_sign) if inf_sign else finite
-        out.append(GuardedTerm(and_all(t.guard for t in chosen), value))
-    return tuple(out)
+    return tuple(
+        GuardedTerm(and_all(t.guard for t in chosen), sum_values(t.value for t in chosen))
+        for _, chosen in cells(splits(body))
+    )
 
 
 def is_partitioning(body: Body) -> bool:

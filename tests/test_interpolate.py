@@ -1,5 +1,6 @@
 """Quantitative entailment and Craig interpolant construction."""
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -13,12 +14,14 @@ from linquant import (
     NotEntailed,
     Quant,
     Quantity,
+    WellFormednessViolation,
     eliminate,
     entails,
     equiv_sample,
     eval_quantity,
     ext_cmp,
     free_vars,
+    make_partitioning,
     random_quantity,
     strongest_interpolant,
     weakest_interpolant,
@@ -26,7 +29,7 @@ from linquant import (
 from linquant.parser import parse_quantity
 from linquant.terms import Atom, GuardedTerm, Rel, Valuation, fvars_body
 
-from conftest import quantifier_free, val
+from conftest import entailing_pair, quantifier_free, val
 
 
 class TestEntails:
@@ -87,6 +90,50 @@ class TestEntails:
         assume(witness is not None)
         assert ext_cmp(eval_quantity(witness, f.body), eval_quantity(witness, g.body)) > 0
 
+    @settings(deadline=None, max_examples=60)
+    @given(f=quantifier_free(), g=quantifier_free())
+    def test_verdict_ignores_side_shape(self, f, g):
+        # metamorphic: a side's split terms, their reversal and the already
+        # partitioning body they sum to all give the same verdict
+        def variants(q):
+            yield Quantity((), tuple(reversed(q.body)))
+            yield Quantity((), make_partitioning(q.body))
+
+        verdict = entails(f, g) is None
+        for f2 in variants(f):
+            assert (entails(f2, g) is None) == verdict
+        for g2 in variants(g):
+            assert (entails(f, g2) is None) == verdict
+
+    @pytest.mark.parametrize("ill_formed_first", [True, False])
+    def test_ill_formed_quantifier_free_side(self, ill_formed_first):
+        bad = parse_quantity("[x > 0] * oo + [x > -1] * (-oo)")
+        other = parse_quantity("[x > 0] * 1")
+        pair = (bad, other) if ill_formed_first else (other, bad)
+        for decide in (entails, strongest_interpolant, weakest_interpolant):
+            with pytest.raises(WellFormednessViolation) as err:
+                decide(*pair)
+            assert err.value.pair == (0, 1)
+
+    def test_verdict_digest(self):
+        # entails(f, g) and entails(g, f) over entailing pairs and over
+        # random pairs with a quantifier-free or a quantified left side
+        params = dict(vars=2, summands=3, atoms_per_guard=2, infinity_prob=0.15)
+        pairs = [entailing_pair(20_000 + s) for s in range(200)]
+        pairs += [
+            (
+                random_quantity(GenParams(**params, quantifiers=q), 12_000 + s),
+                random_quantity(GenParams(**params, quantifiers=0), 12_500 + s),
+            )
+            for q in (0, 1)
+            for s in range(50)
+        ]
+        verdicts = "".join(
+            "y" if entails(a, b) is None else "n" for f, g in pairs for a, b in ((f, g), (g, f))
+        )
+        assert verdicts.count("y") == 271
+        assert hashlib.sha256(verdicts.encode()).hexdigest()[:16] == "1f676730f4a5c80b"
+
 
 class TestStrongestInterpolant:
     def test_craig_example(self, craig_pair):
@@ -134,9 +181,6 @@ class TestWeakestInterpolant:
         g = parse_quantity("[x >= 0] * (x + 2) + [y > 0] * 2")
         w = weakest_interpolant(f, g)
         assert equiv_sample(w, g, 500, seed=4) is None
-
-
-from conftest import entailing_pair
 
 
 class TestEntailsSamplingAgreement:
