@@ -38,7 +38,6 @@ from .terms import (
     LinExpr,
     Not,
     Or,
-    Rel,
     TrueExpr,
     Valuation,
     and_all,
@@ -96,16 +95,10 @@ def fold_atom(atom: Atom) -> Atom | TrueExpr | FalseExpr:
     constant.  Anything else is returned unchanged.
     """
     lhs, rel, rhs = atom.lhs, atom.rel, atom.rhs
-    if isinstance(lhs, InfExpr) and isinstance(rhs, InfExpr):
-        cmp = (lhs.sign > rhs.sign) - (lhs.sign < rhs.sign)
-        return TRUE if rel.holds(cmp) else FALSE
-    if isinstance(rhs, InfExpr):
-        # finite rel oo  /  finite rel -oo
-        if rhs.sign > 0:
-            return TRUE if rel in (Rel.LT, Rel.LE) else FALSE
-        return TRUE if rel in (Rel.GT, Rel.GE) else FALSE
-    if isinstance(lhs, InfExpr):
-        return fold_atom(Atom(rhs, rel.flipped, lhs))
+    if isinstance(lhs, InfExpr) or isinstance(rhs, InfExpr):
+        # ext_cmp orders the sides by sign alone (a finite side counts as
+        # sign 0), so it never compares a finite expression here
+        return TRUE if rel.holds(ext_cmp(lhs, rhs)) else FALSE
     diff = lhs - rhs
     if diff.is_constant:
         cmp = (diff.constant > 0) - (diff.constant < 0)
@@ -393,19 +386,6 @@ def disjunct_sat(d: Disjunct) -> bool:
 def bool_sat(phi: BoolExpr) -> bool:
     """Satisfiability of an arbitrary guard, via pruned DNF."""
     return bool(to_dnf(phi))
-
-
-@lru_cache(maxsize=1 << 16)
-def atom_plane(atom: Atom):
-    """Decompose an atom that does not fold into its canonical hyperplane
-    and orientation ``(expr, positive, rel)``: the atom holds iff
-    ``rel.holds(sign)`` for the sign of ``expr`` (negated when not
-    ``positive``).  Atoms over the same hyperplane share the same expr.
-    """
-    diff = atom.lhs - atom.rhs  # atoms that do not fold have two finite sides
-    lead = min(diff.coeffs)
-    coeff = diff.coeffs[lead]
-    return diff.scale(Fraction(1) / coeff), coeff > 0, atom.rel
 
 
 def fm_witness(d: Disjunct, extra_vars=()) -> Valuation | None:

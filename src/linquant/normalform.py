@@ -13,19 +13,20 @@ the pointwise sum of the two-term :func:`splits` ``[g] * v + [!g] * 0``,
 and :func:`~linquant.interpolate.entails`, which compares both sides'
 summed values cell by cell.  :func:`is_partitioning` reads each guard as its
 :func:`~linquant.logic.to_dnf` disjuncts, which every engine caller
-computes next anyway.
+computes next anyway, and splits on those disjuncts' own atoms, so it
+needs no atom form of its own.
 """
 
 from __future__ import annotations
 
 from .errors import UndefinedSum, WellFormednessViolation
 from .logic import (
-    atom_plane,
     bool_sat,
     conjoin,
     disjunct_sat,
     dnf_to_bool,
     isolate,
+    negate_atom,
     reduce_disjunct,
     refine_dnf,
     to_dnf,
@@ -35,7 +36,6 @@ from .terms import (
     FALSE,
     TRUE,
     And,
-    Atom,
     BoolExpr,
     Disjunct,
     ExtLinExpr,
@@ -44,7 +44,6 @@ from .terms import (
     LinExpr,
     Not,
     Quantity,
-    Rel,
     and_all,
 )
 
@@ -132,21 +131,22 @@ def make_partitioning(body: Body) -> Body:
 def is_partitioning(body: Body) -> bool:
     """Exactly one guard true everywhere: pairwise-disjoint and covering.
 
-    Decided exactly by branching on the signs of the hyperplanes of the
-    guards' DNF atoms, with Fourier-Motzkin pruning of infeasible sign
-    combinations.  A branch stops as soon as the fixed signs force every
-    guard's truth value, so only regions where guards actually interact
-    get split.  It pays one :func:`~linquant.logic.to_dnf` per guard,
-    which every engine caller computes next anyway.
+    Decided exactly by splitting on the guards' DNF atoms, each branch
+    fixing one atom true or false, with Fourier-Motzkin pruning of
+    branches whose literals cannot hold together.  A branch stops at a
+    second true guard or once the split atoms force every guard, so only
+    regions where guards interact get split.  Atoms over one hyperplane
+    written differently (``x < 1``, ``2*x >= 2``) are split apart, and FM
+    refutes the branches that contradict.  It pays one
+    :func:`~linquant.logic.to_dnf` per guard, which every engine caller
+    computes next anyway.
     """
     guards = [to_dnf(t.guard) for t in body]
-    planes = [list(dict.fromkeys(atom_plane(a)[0] for d in g for a in d)) for g in guards]
-    zero = LinExpr.const(0)
 
-    def dfs(cell: Disjunct, signs: dict, undecided: list[int], trues: int) -> bool:
+    def dfs(cell: Disjunct, truth: dict, undecided: list[int], trues: int) -> bool:
         still: list[int] = []
         for k in undecided:
-            value = _eval_signs(guards[k], signs)
+            value = _eval_dnf(guards[k], truth)
             if value is True:
                 trues += 1
                 if trues > 1:
@@ -155,19 +155,14 @@ def is_partitioning(body: Body) -> bool:
                 still.append(k)
         if not still:
             return trues == 1
-        split_plane = next(p for p in planes[still[0]] if p not in signs)
-        branches = (
-            (-1, (Atom(split_plane, Rel.LT, zero),)),
-            (0, (Atom(split_plane, Rel.LE, zero), Atom(split_plane, Rel.GE, zero))),
-            (1, (Atom(split_plane, Rel.GT, zero),)),
-        )
-        for sign, branch_atoms in branches:
-            extended = cell + branch_atoms
+        split = next(a for d in guards[still[0]] for a in d if a not in truth)
+        for literal, value in ((split, True), (negate_atom(split), False)):
+            extended = cell + (literal,)
             if not disjunct_sat(extended):
                 continue
-            signs[split_plane] = sign
-            good = dfs(extended, signs, still, trues)
-            del signs[split_plane]
+            truth[split] = value
+            good = dfs(extended, truth, still, trues)
+            del truth[split]
             if not good:
                 return False
         return True
@@ -175,22 +170,20 @@ def is_partitioning(body: Body) -> bool:
     return dfs((), {}, list(range(len(guards))), 0)
 
 
-def _eval_signs(disjuncts: list[Disjunct], signs: dict) -> bool | None:
-    """Three-valued truth of a DNF under partial hyperplane signs.
+def _eval_dnf(disjuncts: list[Disjunct], truth: dict) -> bool | None:
+    """Three-valued truth of a DNF under partial atom truth values.
 
-    ``signs`` maps canonical hyperplane expressions to -1, 0, or 1; a DNF
-    whose value the fixed signs already force is True or False, any other
-    None.
+    ``truth`` maps atoms to True or False; a DNF whose value the fixed
+    atoms already force is True or False, any other None.
     """
     result: bool | None = False
     for d in disjuncts:
         holds: bool | None = True
         for atom in d:
-            expr, positive, rel = atom_plane(atom)
-            sign = signs.get(expr)
-            if sign is None:
+            value = truth.get(atom)
+            if value is None:
                 holds = None
-            elif not rel.holds(sign if positive else -sign):
+            elif not value:
                 holds = False
                 break
         if holds:

@@ -243,27 +243,22 @@ def _pointwise_extreme(bodies: list[Body], maximum: bool, check: bool) -> Body:
         for k, b in enumerate(bodies):
             if not is_partitioning(tuple(b)):
                 raise NotPartitioning(f"input body {k} is not partitioning")
-    n = len(bodies)
-    strict = Rel.GT if maximum else Rel.LT
-    nonstrict = Rel.GE if maximum else Rel.LE
     out: list[GuardedTerm] = []
     for state, chosen in cells(bodies):
         # ``state`` is the reduced DNF of the chosen guards' conjunction, so
         # each cell is emitted as a disjunction of conjunctions of atoms
         values = [t.value for t in chosen]
-        for i in range(n):
-            ties: list[Atom] = []
-            for k in range(n):
-                rel = strict if k < i else nonstrict
-                if k != i and not _append_folded(ties, Atom(values[i], rel, values[k])):
-                    break
-            else:
-                live = state
-                if ties:
-                    live = unique(conjoin(d, ties) for d in state)
-                    live = [d for d in live if disjunct_sat(d)]
-                if live:
-                    out.append(GuardedTerm(dnf_to_bool(live), values[i]))
+        for i, value in enumerate(values, start=1):
+            # a maximum is selected as a greatest lower bound, a minimum as a least upper one
+            ties = _selector_atoms(values, i, upper=not maximum)
+            if ties is None:
+                continue
+            live = state
+            if ties:
+                live = unique(conjoin(d, ties) for d in state)
+                live = [d for d in live if disjunct_sat(d)]
+            if live:
+                out.append(GuardedTerm(dnf_to_bool(live), value))
     assert out, "pointwise extreme of covering bodies cannot be empty"
     return tuple(out)
 

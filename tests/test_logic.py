@@ -132,6 +132,18 @@ class TestFoldAtom:
         a = atom(lin(0, x=1), "<", lin(0, y=1))
         assert fold_atom(a) == a
 
+    @pytest.mark.parametrize("rel", list(Rel))
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [(a, b) for a in ("y", "oo", "-oo") for b in ("y", "oo", "-oo") if "oo" in a + b],
+    )
+    def test_infinite_side(self, lhs, rel, rhs):
+        # -oo < y < oo for every value of y
+        rank = {"-oo": -1, "y": 0, "oo": 1}
+        side = {"-oo": NEG_OO, "y": Y, "oo": OO}
+        cmp = (rank[lhs] > rank[rhs]) - (rank[lhs] < rank[rhs])
+        assert fold_atom(Atom(side[lhs], rel, side[rhs])) is (TRUE if rel.holds(cmp) else FALSE)
+
 
 class TestToDnf:
     def test_example_second_summand(self, ex1):

@@ -1,5 +1,6 @@
 """Partitioning construction, guarded normal form, well-formedness."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from linquant import (
     Quantity,
     UndefinedSum,
     check_well_formed,
+    eliminate,
     eval_quantity,
     ext_cmp,
     is_partitioning,
@@ -101,6 +103,40 @@ class TestIsPartitioning:
     def test_coverage_gap_detected(self):
         body = parse_body("[x > 0] * 1")
         assert not is_partitioning(body)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("[x < 1] * 0 + [2*x >= 2] * 1", True),
+            ("[x < 1] * 0 + [x >= 1 && x <= 1] * 1 + [1 < x] * 2", True),
+            ("[x <= 1] * 0 + [x >= 1] * 1", False),  # overlap at a point
+            ("[x < 1] * 0 + [x > 1] * 1", False),  # gap at a point
+        ],
+    )
+    def test_shared_hyperplane_boundaries(self, text, expected):
+        # guards written over one hyperplane in different atoms
+        assert is_partitioning(parse_body(text)) is expected
+
+    def test_verdict_digest(self):
+        # elimination inputs and outputs, then random bodies with their
+        # partitioning, a copy with an extra term and a copy missing one
+        bodies = []
+        params = GenParams(
+            vars=3, summands=3, atoms_per_guard=3, coeff_bound=3, infinity_prob=0.1, quantifiers=1
+        )
+        for s in range(30):
+            q = random_quantity(params, 40_000 + s)
+            bodies += [q.body, eliminate(q).body]
+        params = GenParams(vars=2, summands=3, atoms_per_guard=2, infinity_prob=0.15, quantifiers=0)
+        for s in range(200):
+            b = random_quantity(params, 7_000 + s).body
+            p = make_partitioning(b)
+            bodies += [b, p, p + b[:1]]
+            if len(p) > 1:
+                bodies.append(p[1:])
+        verdicts = "".join("y" if is_partitioning(b) else "n" for b in bodies)
+        assert (len(verdicts), verdicts.count("y")) == (850, 243)
+        assert hashlib.sha256(verdicts.encode()).hexdigest()[:16] == "e8c9663e36b97009"
 
 
 class TestToGnf:
