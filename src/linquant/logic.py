@@ -15,8 +15,11 @@ rationals from the rows of that stage.
 A guard becomes disjuncts in one place, :func:`to_dnf`, through one walk,
 ``_dnf``, that pushes negation inward as it goes and iterates the
 arguments of each n-ary ``And``/``Or``.  A disjunct is a tuple of atoms.
-Every layer that builds disjuncts extends one with :func:`conjoin` and
-drops repeated atom sets with :func:`unique`.
+Every layer that builds disjuncts extends one with :func:`conjoin`.
+:func:`to_dnf` drops repeated atom sets with :func:`unique`; the DNF
+states that later layers build (the cell walk's :func:`refine_dnf` and the
+guarded normal form) are kept minimal with :func:`absorb`, which also drops
+every disjunct whose atoms include all of another's.
 """
 
 from __future__ import annotations
@@ -168,6 +171,35 @@ def unique(disjuncts) -> list[Disjunct]:
     return out
 
 
+def absorb(disjuncts) -> list[Disjunct]:
+    """The first disjunct of each minimal atom set, in order.
+
+    A disjunct whose atom set strictly contains another's implies it and
+    adds nothing to the disjunction, so it is dropped (absorption:
+    ``d || (d && a)`` is ``d``); of equal atom sets the first stays.  Sets
+    are visited shortest first, and each is compared only with the kept
+    sets filed under one of its atoms, each kept set being filed under one
+    atom of its own, so disjuncts that share no atom are never compared.
+    """
+    disjuncts = list(disjuncts)
+    if len(disjuncts) < 2:
+        return disjuncts
+    sets = [frozenset(d) for d in disjuncts]
+    kept: dict[frozenset, int] = {}  # minimal set -> index of its first disjunct
+    filed: dict[Atom, list[frozenset]] = {}
+    for i in sorted(range(len(sets)), key=lambda i: len(sets[i])):
+        s = sets[i]
+        if not s:  # true absorbs everything else
+            return [disjuncts[i]]
+        if s in kept or any(k < s for a in s for k in filed.get(a, ())):
+            continue
+        kept[s] = i
+        # the last atom: a cell-walk state's disjuncts share their first
+        # atoms, which come from the guards conjoined first
+        filed.setdefault(disjuncts[i][-1], []).append(s)
+    return [disjuncts[i] for i in sorted(kept.values())]
+
+
 def _dnf(phi: BoolExpr, positive: bool) -> list[Disjunct]:
     """Disjuncts of ``phi`` (of its negation when not ``positive``).
 
@@ -246,14 +278,15 @@ def reduce_disjunct(d: Disjunct) -> Disjunct:
 
 
 def refine_dnf(state: list[Disjunct], guard: BoolExpr) -> list[Disjunct]:
-    """Conjoin a guard into a pruned, deduplicated DNF state.
+    """Conjoin a guard into a pruned, minimal DNF state.
 
     Surviving disjuncts are reduced to an equivalent minimal form, so the
     per-step satisfiability checks stay cheap no matter how many guards
-    have been conjoined before.
+    have been conjoined before, and the state is then absorbed
+    (:func:`absorb`): no disjunct's atom set contains another's.
     """
     merged = (conjoin(d, branch) for branch in to_dnf(guard) for d in state)
-    return unique(reduce_disjunct(m) for m in merged if disjunct_sat(m))
+    return absorb(reduce_disjunct(m) for m in merged if disjunct_sat(m))
 
 
 # Fourier-Motzkin satisfiability ------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from .errors import UndefinedSum, WellFormednessViolation
 from .logic import (
+    absorb,
     bool_sat,
     conjoin,
     disjunct_sat,
@@ -30,7 +31,6 @@ from .logic import (
     reduce_disjunct,
     refine_dnf,
     to_dnf,
-    unique,
 )
 from .terms import (
     FALSE,
@@ -94,9 +94,10 @@ def cells(bodies):
     """Walk the product of bodies, one term from each, in body order.
 
     Yields ``(state, chosen)`` for every choice of terms whose guards can
-    hold together: ``state`` is the reduced DNF of the chosen guards'
-    conjunction (built with :func:`~linquant.logic.refine_dnf`), never
-    empty, and ``chosen`` the terms.  A choice is dropped as soon as its
+    hold together: ``state`` is the reduced, absorbed DNF of the chosen
+    guards' conjunction (built with :func:`~linquant.logic.refine_dnf`, so
+    no disjunct's atom set contains another's), never empty, and
+    ``chosen`` the terms.  A choice is dropped as soon as its
     growing conjunction is unsatisfiable.  The walk keeps an explicit
     stack, since the number of bodies can reach the hundreds.
     """
@@ -196,21 +197,24 @@ def _eval_dnf(disjuncts: list[Disjunct], truth: dict) -> bool | None:
 def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     """DNF the guard, isolating ``var`` in every atom.
 
-    Disjuncts are reduced to minimal equivalent form and deduplicated,
-    which keeps later per-disjunct eliminations from multiplying.
+    Disjuncts are reduced to minimal equivalent form and the list is
+    absorbed (:func:`~linquant.logic.absorb`: no disjunct's atom set
+    contains another's), which keeps later per-disjunct eliminations from
+    multiplying.
     Isolation keeps each atom equivalent and unfoldable, so every
     disjunct stays satisfiable.
     """
     disjuncts = [reduce_disjunct(conjoin((), (isolate(a, var) for a in d))) for d in to_dnf(guard)]
-    return dnf_to_bool(unique(disjuncts))
+    return dnf_to_bool(absorb(disjuncts))
 
 
 def to_gnf(q: Quantity, var: str, *, assume_partitioning: bool = False) -> Quantity:
     """Guarded normal form w.r.t. ``var``.
 
     The result is semantically equivalent: its body is partitioning, every
-    guard is in DNF, and every atom mentioning ``var`` has the isolated
-    shape ``var rel bound``.
+    guard is a minimal DNF (reduced disjuncts, none whose atom set
+    contains another's, see :func:`_gnf_guard`), and every atom mentioning
+    ``var`` has the isolated shape ``var rel bound``.
     """
     body = q.body
     if not (assume_partitioning or is_partitioning(body)):

@@ -3,7 +3,9 @@
 One quantifier is eliminated per round, innermost first.  A round works on
 the guarded-normal-form body in three layers:
 
-* per summand, split the DNF guard into disjuncts;
+* per summand, split the DNF guard into disjuncts; the normal form keeps
+  that DNF minimal (absorbed, see :func:`~linquant.logic.absorb`), so no
+  disjunct is eliminated whose atoms include all of another's;
 * per disjunct, build a quantifier-free equivalent from the bounds the
   disjunct imposes on the variable: a feasibility constraint (the
   Fourier-Motzkin residue), selector guards picking the least upper or
@@ -12,8 +14,9 @@ the guarded-normal-form body in three layers:
 * recombine everything with a pointwise maximum (for sup) or minimum (for
   inf) of partitioning bodies, walking their product with
   :func:`~linquant.normalform.cells`.  Each output cell is emitted as a
-  disjunction of conjunctions of atoms (the reduced DNF the walk already
-  holds), which the next round splits as it stands.
+  disjunction of conjunctions of atoms (the reduced, absorbed DNF the walk
+  already holds, plus the tie atoms), which the next round splits as it
+  stands.
 
 All constructions prune guards that Fourier-Motzkin refutes; this keeps
 outputs near their simplified forms without changing semantics.

@@ -189,6 +189,12 @@ def direct_bound_check(d: Disjunct, var: str, sigma: Valuation):
     return nonempty, glb, lub
 
 
+def is_antichain(disjuncts) -> bool:
+    """No two disjuncts share an atom set and none's set contains another's."""
+    sets = [frozenset(d) for d in disjuncts]
+    return len(set(sets)) == len(sets) and not any(a < b for a in sets for b in sets)
+
+
 def seeded_instances(count: int, base_seed: int, **overrides):
     params = GenParams(**overrides)
     from linquant import random_quantity

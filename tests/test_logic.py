@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from linquant import Atom, Disjunct, GenParams, LinExpr, NEG_OO, OO, Rel, random_quantity
 from linquant.logic import (
+    absorb,
     atom_eval,
     bool_eval,
     bool_sat,
@@ -21,15 +22,18 @@ from linquant.logic import (
     negate_atom,
     to_dnf,
 )
+from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_quantity
 from linquant.printer import print_bool
-from linquant.terms import FALSE, TRUE, And, Not, Or, Valuation
+from linquant.terms import FALSE, TRUE, And, Not, Or, Valuation, and_all
 
 from conftest import (
     WIDE_OR_TEXT,
     atom,
     grid_sat,
+    is_antichain,
     lin,
+    quantifier_free,
     random_frac_disjunct,
     random_iso_disjunct,
     val,
@@ -218,6 +222,55 @@ class TestToDnf:
         ]
         assert len(lines) == 3954
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "9cdae2b52897125f"
+
+
+class TestAbsorb:
+    A, B, C = atom(X, ">", 0), atom(Y, ">", 0), atom(Z, ">", 0)
+
+    def test_superset_dropped(self):
+        a, b = self.A, self.B
+        assert absorb([(a,), (a, b)]) == [(a,)]
+        assert absorb([(a, b), (a,)]) == [(a,)]
+        assert absorb([(b, a, self.C), (a, b)]) == [(a, b)]
+
+    def test_input_order_kept(self):
+        a, b, c = self.A, self.B, self.C
+        # sets are visited shortest first, but the kept ones come out in input order
+        assert absorb([(a, b), (c,), (b, c), (a,)]) == [(c,), (a,)]
+        assert absorb([(a, b), (c,)]) == [(a, b), (c,)]
+
+    def test_true_absorbs_everything(self):
+        a, b = self.A, self.B
+        assert absorb([(a,), (), (a, b), ()]) == [()]
+
+    def test_equal_length_sets_kept(self):
+        a, b, c = self.A, self.B, self.C
+        ds = [(a, b), (b, c), (c, a)]
+        assert absorb(ds) == ds
+        # of equal sets the first stays, atom order included
+        assert absorb([(b, a), (a, b), (c,)]) == [(b, a), (c,)]
+
+    def test_idempotent(self):
+        a, b, c = self.A, self.B, self.C
+        ds = absorb([(a, b, c), (b, c), (a, c), (c, b), (b,)])
+        assert ds == [(a, c), (b,)]
+        assert absorb(ds) == ds
+
+    @settings(deadline=None, max_examples=150)
+    @given(q=quantifier_free(), seed=st.integers(0, 10**6))
+    def test_minimal_and_equivalent(self, q, seed):
+        # each guard, and one whose DNF holds subsumed disjuncts by construction
+        guards = [t.guard for t in q.body]
+        guards.append(Or(guards[0], and_all(guards)))
+        rng = random.Random(seed)
+        pool = sample_pool(q)
+        points = [random_valuation(["x", "y"], rng, pool) for _ in range(20)]
+        for g in guards:
+            ds = absorb(to_dnf(g))
+            assert is_antichain(ds)
+            assert absorb(ds) == ds
+            for sigma in points:
+                assert bool_eval(sigma, g) == any(all(atom_eval(sigma, a) for a in d) for d in ds)
 
 
 class TestIsolate:

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from linquant import (
 )
 from linquant.errors import NotIsolated, NotPartitioning, WellFormednessViolation
 from linquant.logic import atom_eval, bool_eval, disjunct_sat
+from linquant.normalform import cells
 from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
 from linquant.terms import (
@@ -57,7 +59,7 @@ from linquant.terms import (
     fvars_body,
 )
 
-from conftest import atom, lin, quantifier_free, val
+from conftest import atom, is_antichain, lin, quantifier_free, val
 
 # the bounded disjunct of the running example: x < y1+2, x <= -y3, x >= y2
 D_BOUNDED = Disjunct(
@@ -385,6 +387,47 @@ class TestEliminateVar:
                 {v: Fraction(rng.randint(-24, 24), 4) for v in ("y1", "y2", "y3", "z")}
             )
             assert ext_cmp(eval_quantity(sigma, out), oracle_sup(sigma, "x", gnf.body)) == 0
+
+
+CRITERION_4 = GenParams(
+    vars=3, summands=3, atoms_per_guard=3, coeff_bound=3, infinity_prob=0.1, quantifiers=1
+)
+
+
+class TestMinimalDnf:
+    def test_gnf_guards_and_cell_states_are_antichains(self):
+        # no GNF guard and no state of the cell walk under pointwise max/min
+        # keeps a disjunct whose atom set contains another's
+        for seed in range(40_000, 40_060):
+            q = random_quantity(CRITERION_4, seed)
+            quant, var = q.prefix[0]
+            gnf = to_gnf(Quantity((), q.body), var)
+            tasks = []
+            for term in gnf.body:
+                disjuncts = dnf_split(term.guard)
+                assert is_antichain(disjuncts), (seed, term.guard)
+                tasks += [(d, term.value) for d in disjuncts]
+            sub_bodies = [eliminate_over_disjunct(quant, d, v, var) for d, v in tasks]
+            for state, _ in cells(sub_bodies):
+                assert is_antichain(state), (seed, state)
+
+    def test_heavy_tail_depth(self):
+        # a nested instance whose guards reached depth 470 while only
+        # repeated disjuncts were dropped
+        q = random_quantity(replace(CRITERION_4, vars=4, quantifiers=2), 904)
+        full = eliminate(q)
+        assert depth(full) <= 200
+        # the criterion-5 method: the outer oracle over the inner-only elimination
+        (outer_quant, outer_var), inner = q.prefix
+        inner_only = eliminate(Quantity((inner,), q.body))
+        outer_gnf = to_gnf(Quantity((), inner_only.body), outer_var, assume_partitioning=True)
+        oracle = oracle_sup if outer_quant is Quant.SUP else oracle_inf
+        rng = random.Random(904)
+        pool = sample_pool(q)
+        for _ in range(10):
+            sigma = random_valuation(sorted(free_vars(q)), rng, pool)
+            expected = oracle(sigma, outer_var, outer_gnf.body)
+            assert ext_cmp(eval_quantity(sigma, full.body), expected) == 0
 
 
 class TestEliminate:
