@@ -117,7 +117,6 @@ def _require_well_formed(q: Quantity) -> None:
 
 def _cmd_elim(args) -> int:
     q = _read_quantity(args.file)
-    _require_well_formed(q)
     result = eliminate(q, simplify=args.simplify)
     _emit(result, args.json)
     return EXIT_OK
@@ -125,7 +124,7 @@ def _cmd_elim(args) -> int:
 
 def _cmd_eval(args) -> int:
     q = _read_quantity(args.file)
-    _require_well_formed(q)
+    _require_well_formed(q)  # a quantifier-free input meets no library check
     sigma = _parse_sigma(args.sigma)
     if q.prefix:
         q = eliminate(q)
@@ -139,8 +138,6 @@ def _cmd_eval(args) -> int:
 def _cmd_entails(args) -> int:
     f = _read_quantity(args.f)
     g = _read_quantity(args.g)
-    _require_well_formed(f)
-    _require_well_formed(g)
     witness = entails(f, g)
     if witness is None:
         print("yes")
@@ -152,8 +149,6 @@ def _cmd_entails(args) -> int:
 def _cmd_interpolate(args) -> int:
     f = _read_quantity(args.f)
     g = _read_quantity(args.g)
-    _require_well_formed(f)
-    _require_well_formed(g)
     build = weakest_interpolant if args.weakest else strongest_interpolant
     result = build(f, g)
     _emit(result, args.json)
@@ -173,7 +168,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_gnf(args) -> int:
     q = _read_quantity(args.file)
-    _require_well_formed(q)
+    _require_well_formed(q)  # to_gnf has no check of its own
     _emit(to_gnf(q, args.var), args.json)
     return EXIT_OK
 

@@ -8,15 +8,16 @@ the guarded-normal-form body in three layers:
   disjunct is eliminated whose atoms include all of another's;
 * per disjunct, build a quantifier-free equivalent from the bounds the
   disjunct imposes on the variable: a feasibility constraint (the
-  Fourier-Motzkin residue), selector guards picking the least upper or
-  greatest lower bound, and an infinity-aware substitution of the chosen
-  bound into the value expression;
+  Fourier-Motzkin residue), and each distinct bound that is the least upper
+  (or greatest lower) one somewhere, substituted into the value expression
+  with infinities honoured;
 * recombine everything with a pointwise maximum (for sup) or minimum (for
-  inf) of partitioning bodies, walking their product with
-  :func:`~linquant.normalform.cells`.  Each output cell is emitted as a
-  disjunction of conjunctions of atoms (the reduced, absorbed DNF the walk
-  already holds, plus the tie atoms), which the next round splits as it
-  stands.
+  inf) of partitioning bodies: each cell of their product (walked by
+  :func:`~linquant.normalform.cells`) keeps each distinct value that is the
+  largest (smallest) somewhere in it, guarded by the walk's reduced,
+  absorbed DNF plus the tie atoms, which the next round splits as it stands.
+
+Both selections are :func:`_winners`: ties go to the first candidate.
 
 All constructions prune guards that Fourier-Motzkin refutes; this keeps
 outputs near their simplified forms without changing semantics.
@@ -209,8 +210,8 @@ def eliminate_over_disjunct(
     (with the guard failing mapping to -oo for sup and oo for inf).
 
     The output is a partitioning, ``var``-free body: one default term for
-    the infeasible region plus one term per surviving bound selector, whose
-    value is the bound substituted into ``value``.
+    the infeasible region plus one term per distinct bound that is the
+    tightest somewhere, whose value is the bound substituted into ``value``.
     """
     bounds = extract_bounds(d, var)
     default = NEG_OO if quant is Quant.SUP else OO
@@ -226,14 +227,23 @@ def eliminate_over_disjunct(
         return tuple(terms)
     use_uppers = (coeff > 0) == (quant is Quant.SUP)
     blist = bounds.uppers() if use_uppers else bounds.lowers()
-    for i in range(1, len(blist) + 1):
-        selector = _selector_atoms(blist, i, upper=use_uppers)
-        if selector is None:
-            continue
-        cell = conjoin(feas, selector)
-        if disjunct_sat(cell):
-            terms.append(GuardedTerm(and_all(cell), substitute_bound(value, var, blist[i - 1])))
+    for (cell,), bound in _winners([tuple(feas)], blist, upper=use_uppers):
+        terms.append(GuardedTerm(and_all(cell), substitute_bound(value, var, bound)))
     return tuple(terms)
+
+
+def _winners(state: list[Disjunct], candidates, upper: bool):
+    """Yield ``(live, c)`` for each distinct candidate ``c`` (the first of
+    repeats) that is the tightest bound somewhere in the DNF ``state``;
+    ``live`` is the satisfiable part of ``state`` where it wins."""
+    distinct = list(dict.fromkeys(candidates))
+    for i, candidate in enumerate(distinct, start=1):
+        ties = _selector_atoms(distinct, i, upper)
+        if ties is None:
+            continue
+        live = [d for d in unique(conjoin(d, ties) for d in state) if disjunct_sat(d)]
+        if live:
+            yield live, candidate
 
 
 # Pointwise maxima / minima ------------------------------------------------
@@ -248,27 +258,18 @@ def _pointwise_extreme(bodies: list[Body], maximum: bool, check: bool) -> Body:
                 raise NotPartitioning(f"input body {k} is not partitioning")
     out: list[GuardedTerm] = []
     for state, chosen in cells(bodies):
-        # ``state`` is the reduced DNF of the chosen guards' conjunction, so
-        # each cell is emitted as a disjunction of conjunctions of atoms
-        values = [t.value for t in chosen]
-        for i, value in enumerate(values, start=1):
-            # a maximum is selected as a greatest lower bound, a minimum as a least upper one
-            ties = _selector_atoms(values, i, upper=not maximum)
-            if ties is None:
-                continue
-            live = state
-            if ties:
-                live = unique(conjoin(d, ties) for d in state)
-                live = [d for d in live if disjunct_sat(d)]
-            if live:
-                out.append(GuardedTerm(dnf_to_bool(live), value))
+        # ``state`` is the cell's reduced DNF; a maximum is selected as a
+        # greatest lower bound, a minimum as a least upper one
+        for live, value in _winners(state, [t.value for t in chosen], upper=not maximum):
+            out.append(GuardedTerm(dnf_to_bool(live), value))
     assert out, "pointwise extreme of covering bodies cannot be empty"
     return tuple(out)
 
 
 def pointwise_max(bodies, *, check: bool = True) -> Body:
     """A partitioning body evaluating to the valuation-wise maximum of the
-    given partitioning bodies (ties go to the earliest body).
+    given partitioning bodies (ties go to the earliest body): one term per
+    cell of their product and distinct value that is the maximum there.
 
     Every output guard is a disjunction of satisfiable conjunctions of
     atoms: the reduced DNF of the chosen input guards plus the tie atoms.

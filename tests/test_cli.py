@@ -248,15 +248,30 @@ class TestCheckAndGnf:
         ["entails", "{ill}", "{ok}"],
         ["entails", "{ok}", "{ill}"],
         ["interpolate", "{ok}", "{ill}"],
+        ["interpolate", "{ill}", "{ok}"],
+        ["interpolate", "--weakest", "{ok}", "{ill}"],
+        ["entails", "{sup}", "{ill}"],
     ],
-    ids=["elim", "eval", "gnf", "entails-left", "entails-right", "interpolate"],
+    ids=[
+        "elim",
+        "eval",
+        "gnf",
+        "entails-left",
+        "entails-right",
+        "interpolate",
+        "interpolate-left",
+        "weakest-right",
+        "entails-quantified-left",
+    ],
 )
 def test_ill_formed_exit_code(files, capsys, argv):
     # the gate fires before any evaluation or sum, so UndefinedSum, which
-    # main maps to no exit code, cannot reach the command line
+    # main maps to no exit code, cannot reach the command line; elim,
+    # entails and interpolate rely on the library's own gate
     paths = {
         "{ill}": files("ill.lq", "[x > 0] * oo + [x > -1] * (-oo)"),
         "{ok}": files("ok.lq", "[x > 0] * 1"),
+        "{sup}": files("sup.lq", "sup y : [x > y] * y"),
     }
     code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 2

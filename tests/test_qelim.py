@@ -46,6 +46,7 @@ from linquant.logic import atom_eval, bool_eval, disjunct_sat
 from linquant.normalform import cells
 from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
+from linquant.printer import print_quantity
 from linquant.terms import (
     FALSE,
     TRUE,
@@ -334,6 +335,13 @@ class TestPointwiseMaxMin:
         with pytest.raises(NotPartitioning):
             pointwise_max([parse_body("[x > 0] * 1")])
 
+    def test_repeated_value_is_one_candidate(self):
+        # the third body repeats the first one's value: it neither wins a
+        # term of its own nor adds a non-strict twin of a strict tie atom
+        bodies = [parse_body(t) for t in ("[true] * y", "[true] * z", "[true] * y")]
+        assert print_quantity(Quantity((), pointwise_max(bodies))) == "[y >= z] * y + [z > y] * z"
+        assert print_quantity(Quantity((), pointwise_min(bodies))) == "[y <= z] * y + [z < y] * z"
+
     def test_random_pointwise_agreement(self):
         rng = random.Random(314)
         for case in range(60):
@@ -428,6 +436,42 @@ class TestMinimalDnf:
             sigma = random_valuation(sorted(free_vars(q)), rng, pool)
             expected = oracle(sigma, outer_var, outer_gnf.body)
             assert ext_cmp(eval_quantity(sigma, full.body), expected) == 0
+
+
+NESTED = GenParams(vars=3, summands=3, atoms_per_guard=2, infinity_prob=0.1, quantifiers=2)
+VALUES = [parse_body(f"[true] * ({v})")[0].value for v in ("y", "z", "2*y - 1", "0", "oo", "-oo")]
+
+
+def twin_atoms(d):
+    """Atoms of ``d`` whose non-strict twin (same sides) is in ``d`` too."""
+    sides = {(a.lhs, a.rel, a.rhs) for a in d}
+    nonstrict = {Rel.LT: Rel.LE, Rel.GT: Rel.GE}
+    return [a for a in d if a.rel in nonstrict and (a.lhs, nonstrict[a.rel], a.rhs) in sides]
+
+
+class TestDistinctCandidates:
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.sampled_from(VALUES), min_size=2, max_size=6))
+    def test_repeated_values_change_nothing(self, values):
+        # over ``true`` guards every output atom is a tie atom, and a value
+        # repeated by a later body is the same candidate as its first copy
+        for combine in (pointwise_max, pointwise_min):
+            out = combine([(GuardedTerm(TRUE, v),) for v in values])
+            assert out == combine([(GuardedTerm(TRUE, v),) for v in dict.fromkeys(values)])
+
+    def test_no_strict_and_non_strict_twin(self):
+        # a value repeated in a cell gave a disjunct both ``a < b`` and
+        # ``a <= b`` (seeds 60014 and 60066).  Seeds 60073 and 60079 keep a
+        # twin made of a cell-state atom and a tie atom, because tie atoms
+        # are conjoined after the state was reduced
+        twinned = set()
+        for seed in range(60_000, 60_100):
+            for term in eliminate(random_quantity(NESTED, seed)).body:
+                disjuncts = dnf_split(term.guard)
+                assert disjuncts is not None, (seed, term.guard)
+                if any(twin_atoms(d) for d in disjuncts):
+                    twinned.add(seed)
+        assert twinned <= {60_073, 60_079}
 
 
 class TestEliminate:
