@@ -10,10 +10,15 @@ one of its disjuncts has a point where the left sum exceeds the right.
 Each interpolant of an entailing pair is one call to
 :func:`~linquant.qelim.eliminate`: the strongest is the left side under
 sup binders over its private variables, the weakest the right side under
-inf binders over its private variables.
+inf binders over its private variables.  Both first decide the pair's
+entailment, and :func:`entails` keeps the verdicts of the last 64 pairs
+for the process (structurally equal pairs share one), so an ``entails``
+call followed by both interpolants decides the pair once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import NotEntailed
 from .logic import conjoin, fm_witness
@@ -45,8 +50,14 @@ def _factors(q: Quantity) -> list[Body]:
     return splits(q.body)
 
 
+@lru_cache(maxsize=64)
 def entails(f: Quantity, g: Quantity) -> Valuation | None:
-    """None when ``f`` entails ``g``; otherwise a violating valuation."""
+    """None when ``f`` entails ``g``; otherwise a violating valuation.
+
+    The verdict is memoized per process for the last 64 pairs, keyed on
+    the two quantities, so structurally equal pairs share one decision and
+    both interpolants reuse it.  A raised error is not memoized.
+    """
     left = _factors(f)
     variables = sorted(free_vars(f) | free_vars(g))
     for state, chosen in cells(left + _factors(g)):

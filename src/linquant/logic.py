@@ -159,6 +159,20 @@ def conjoin(d: Disjunct, atoms) -> Disjunct:
     return tuple(dict.fromkeys((*d, *atoms)))
 
 
+def conjoin_unimplied(d: Disjunct, atoms) -> Disjunct:
+    """:func:`conjoin` without the atoms that an atom of ``d`` implies by
+    being parallel to it (see :func:`_row`) and at least as tight."""
+    compiled = _system(d)
+    rows = compiled[0] if compiled is not None else {}
+    kept = []
+    for atom in atoms:
+        row = _row(atom)
+        old = rows.get(row[0]) if isinstance(row, tuple) else None
+        if old is None or not _covers(old, *row[1:]):
+            kept.append(atom)
+    return conjoin(d, kept)
+
+
 def unique(disjuncts) -> list[Disjunct]:
     """The first disjunct of each distinct atom set, in order."""
     seen: set[frozenset] = set()
@@ -327,16 +341,20 @@ def _normalize(coeffs: dict[str, int], const: int, strict: bool):
     return tuple(sorted((v, a // k) for v, a in coeffs.items())), k // h, const // h, strict
 
 
+def _covers(old: tuple, k: int, c: int, strict: bool) -> bool:
+    """Whether the row ``old`` = ``(k0, c0, s0)`` on a direction is at least
+    as tight as ``(k, c, strict)`` on the same direction."""
+    k0, c0, s0 = old
+    # bounds -c/k on the same dir.x: the larger c/k is the tighter
+    new, kept = c * k0, c0 * k
+    return new < kept or (new == kept and (s0 or not strict))
+
+
 def _insert(system: dict, d: tuple, k: int, c: int, strict: bool) -> None:
     """Add a row, keeping only the tightest of rows parallel to it."""
     old = system.get(d)
-    if old is not None:
-        k0, c0, s0 = old
-        # bounds -c/k on the same dir.x: the larger c/k is the tighter
-        new, kept = c * k0, c0 * k
-        if new < kept or (new == kept and (s0 or not strict)):
-            return
-    system[d] = (k, c, strict)
+    if old is None or not _covers(old, k, c, strict):
+        system[d] = (k, c, strict)
 
 
 def _system(atoms):

@@ -16,6 +16,8 @@ the guarded-normal-form body in three layers:
   :func:`~linquant.normalform.cells`) keeps each distinct value that is the
   largest (smallest) somewhere in it, guarded by the walk's reduced,
   absorbed DNF plus the tie atoms, which the next round splits as it stands.
+  A tie atom that a parallel, at-least-as-tight state atom implies is not
+  added (see :func:`~linquant.logic.conjoin_unimplied`).
 
 Both selections are :func:`_winners`: ties go to the first candidate.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotIsolated, NotPartitioning
 from .logic import (
-    conjoin,
+    conjoin_unimplied,
     disjunct_sat,
     dnf_to_bool,
     fold_atom,
@@ -241,7 +243,7 @@ def _winners(state: list[Disjunct], candidates, upper: bool):
         ties = _selector_atoms(distinct, i, upper)
         if ties is None:
             continue
-        live = [d for d in unique(conjoin(d, ties) for d in state) if disjunct_sat(d)]
+        live = [d for d in unique(conjoin_unimplied(d, ties) for d in state) if disjunct_sat(d)]
         if live:
             yield live, candidate
 

@@ -26,6 +26,8 @@ from linquant import (
     strongest_interpolant,
     weakest_interpolant,
 )
+from linquant import interpolate
+from linquant.normalform import cells
 from linquant.parser import parse_quantity
 from linquant.terms import Atom, GuardedTerm, Rel, Valuation, fvars_body
 
@@ -133,6 +135,57 @@ class TestEntails:
         )
         assert verdicts.count("y") == 271
         assert hashlib.sha256(verdicts.encode()).hexdigest()[:16] == "1f676730f4a5c80b"
+
+
+class TestEntailsMemo:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """A cold memo and a count of the cell walks ``entails`` starts."""
+        count = [0]
+
+        def counting_cells(bodies):
+            count[0] += 1
+            return cells(bodies)
+
+        entails.cache_clear()
+        monkeypatch.setattr(interpolate, "cells", counting_cells)
+        yield count
+        entails.cache_clear()
+
+    def test_interp_op_walks_once(self, walks, craig_pair):
+        f, g = craig_pair
+        assert entails(f, g) is None
+        strongest_interpolant(f, g)
+        weakest_interpolant(f, g)
+        assert walks[0] == 1
+
+    def test_structurally_equal_pairs_share_a_verdict(self, walks):
+        texts = ("[x >= 0] * (2*x + 1)", "[x >= 3] * (5*x)")
+        first, second = (tuple(parse_quantity(t) for t in texts) for _ in range(2))
+        assert first == second and first[0] is not second[0]
+        witness = entails(*first)
+        assert witness is not None
+        assert entails(*second) == witness
+        assert walks[0] == 1
+
+    def test_errors_are_not_memoized(self, walks):
+        bad = parse_quantity("[x > 0] * oo + [x > -1] * (-oo)")
+        other = parse_quantity("[x > 0] * 1")
+        for _ in range(3):
+            with pytest.raises(WellFormednessViolation):
+                entails(bad, other)
+        assert entails.cache_info().currsize == 0
+
+    def test_interpolants_raise_the_memoized_witness(self, walks):
+        f = parse_quantity("[x >= 0] * (2*x + 1)")
+        g = parse_quantity("[x >= 3] * (5*x)")
+        witness = entails(f, g)
+        assert witness is not None
+        for interpolant in (strongest_interpolant, weakest_interpolant):
+            with pytest.raises(NotEntailed) as err:
+                interpolant(f, g)
+            assert err.value.witness == witness
+        assert walks[0] == 1
 
 
 class TestStrongestInterpolant:

@@ -461,9 +461,8 @@ class TestDistinctCandidates:
 
     def test_no_strict_and_non_strict_twin(self):
         # a value repeated in a cell gave a disjunct both ``a < b`` and
-        # ``a <= b`` (seeds 60014 and 60066).  Seeds 60073 and 60079 keep a
-        # twin made of a cell-state atom and a tie atom, because tie atoms
-        # are conjoined after the state was reduced
+        # ``a <= b`` (seeds 60014 and 60066); a tie atom conjoined beside a
+        # cell-state atom that implies it did too (seeds 60073 and 60079)
         twinned = set()
         for seed in range(60_000, 60_100):
             for term in eliminate(random_quantity(NESTED, seed)).body:
@@ -471,7 +470,7 @@ class TestDistinctCandidates:
                 assert disjuncts is not None, (seed, term.guard)
                 if any(twin_atoms(d) for d in disjuncts):
                     twinned.add(seed)
-        assert twinned <= {60_073, 60_079}
+        assert twinned == set()
 
 
 class TestEliminate:
