@@ -11,9 +11,9 @@ Each interpolant of an entailing pair is one call to
 :func:`~linquant.qelim.eliminate`: the strongest is the left side under
 sup binders over its private variables, the weakest the right side under
 inf binders over its private variables.  Both first decide the pair's
-entailment, and :func:`entails` keeps the verdicts of the last 64 pairs
-for the process (structurally equal pairs share one), so an ``entails``
-call followed by both interpolants decides the pair once.
+entailment, and :func:`entails` keeps the verdict of the last pair it
+decided (a structurally equal pair shares it), so an ``entails`` call
+followed by both interpolants decides the pair once.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ def _factors(q: Quantity) -> list[Body]:
     return splits(q.body)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def entails(f: Quantity, g: Quantity) -> Valuation | None:
     """None when ``f`` entails ``g``; otherwise a violating valuation.
 
-    The verdict is memoized per process for the last 64 pairs, keyed on
-    the two quantities, so structurally equal pairs share one decision and
+    The verdict of the last pair is memoized, keyed on the two
+    quantities, so a structurally equal pair decided next shares it and
     both interpolants reuse it.  A raised error is not memoized.
     """
     left = _factors(f)

@@ -159,11 +159,19 @@ def conjoin(d: Disjunct, atoms) -> Disjunct:
     return tuple(dict.fromkeys((*d, *atoms)))
 
 
-def conjoin_unimplied(d: Disjunct, atoms) -> Disjunct:
-    """:func:`conjoin` without the atoms that an atom of ``d`` implies by
-    being parallel to it (see :func:`_row`) and at least as tight."""
+def parallel_rows(d: Disjunct) -> dict:
+    """The rows of the conjunction ``d`` keyed by direction (see
+    :func:`_row`), the tightest of parallel atoms kept; empty when an atom
+    folds to false."""
     compiled = _system(d)
-    rows = compiled[0] if compiled is not None else {}
+    return compiled[0] if compiled is not None else {}
+
+
+def conjoin_unimplied(d: Disjunct, rows: dict, atoms) -> Disjunct:
+    """:func:`conjoin` without the atoms that an atom of ``d`` implies by
+    being parallel to it and at least as tight.  ``rows`` is
+    :func:`parallel_rows` of ``d``, so a caller extending ``d`` several
+    times compiles it once."""
     kept = []
     for atom in atoms:
         row = _row(atom)

@@ -37,6 +37,7 @@ from .logic import (
     fold_atom,
     is_isolated_in,
     negate_atom,
+    parallel_rows,
     reduce_disjunct,
     to_dnf,
     unique,
@@ -239,11 +240,13 @@ def _winners(state: list[Disjunct], candidates, upper: bool):
     repeats) that is the tightest bound somewhere in the DNF ``state``;
     ``live`` is the satisfiable part of ``state`` where it wins."""
     distinct = list(dict.fromkeys(candidates))
+    compiled = [(d, parallel_rows(d)) for d in state]  # once, not per candidate
     for i, candidate in enumerate(distinct, start=1):
         ties = _selector_atoms(distinct, i, upper)
         if ties is None:
             continue
-        live = [d for d in unique(conjoin_unimplied(d, ties) for d in state) if disjunct_sat(d)]
+        extended = unique(conjoin_unimplied(d, rows, ties) for d, rows in compiled)
+        live = [d for d in extended if disjunct_sat(d)]
         if live:
             yield live, candidate
 

@@ -168,6 +168,12 @@ class TestEntailsMemo:
         assert entails(*second) == witness
         assert walks[0] == 1
 
+    def test_only_the_last_pair_is_kept(self, walks, craig_pair):
+        other = tuple(parse_quantity(t) for t in ("[x >= 0] * (2*x + 1)", "[x >= 3] * (5*x)"))
+        for pair in (craig_pair, craig_pair, other, craig_pair):
+            entails(*pair)
+        assert walks[0] == 3
+
     def test_errors_are_not_memoized(self, walks):
         bad = parse_quantity("[x > 0] * oo + [x > -1] * (-oo)")
         other = parse_quantity("[x > 0] * 1")

@@ -22,6 +22,7 @@ from linquant.logic import (
     fold_atom,
     isolate,
     negate_atom,
+    parallel_rows,
     to_dnf,
 )
 from linquant.oracle import random_valuation, sample_pool
@@ -275,19 +276,23 @@ class TestAbsorb:
                 assert bool_eval(sigma, g) == any(all(atom_eval(sigma, a) for a in d) for d in ds)
 
 
+def extend(d, atoms):
+    return conjoin_unimplied(d, parallel_rows(d), atoms)
+
+
 class TestConjoinUnimplied:
     def test_parallel_at_least_as_tight_skipped(self):
         state = (atom(lin(-1, x=-3), ">", 0), atom(Y, "<", 1))
         # -3x - 1 >= 0 and x < 1 are implied by -3x - 1 > 0 (that is, x < -1/3)
         for implied in (atom(lin(-1, x=-3), ">=", 0), atom(X, "<", 1), atom(lin(0, x=2), "<=", 2)):
-            assert conjoin_unimplied(state, [implied]) == state
+            assert extend(state, [implied]) == state
         # y <= 1 and 2y < 2 are at most as tight as y < 1
-        assert conjoin_unimplied(state, [atom(Y, "<=", 1), atom(lin(0, y=2), "<", 2)]) == state
+        assert extend(state, [atom(Y, "<=", 1), atom(lin(0, y=2), "<", 2)]) == state
 
     def test_tighter_opposite_and_other_directions_kept(self):
         state = (atom(X, "<=", 1),)
         for kept in (atom(X, "<", 1), atom(X, "<=", 0), atom(X, ">", 0), atom(lin(0, x=1, y=1), "<", 1)):
-            assert conjoin_unimplied(state, [kept]) == (*state, kept)
+            assert extend(state, [kept]) == (*state, kept)
 
     def test_equivalent_to_conjoin(self):
         rng = random.Random(2_024)
@@ -295,7 +300,7 @@ class TestConjoinUnimplied:
         for _ in range(300):
             d = random_frac_disjunct(rng, variables, max_atoms=4, bound=3)
             atoms = random_frac_disjunct(rng, variables, max_atoms=3, bound=3)
-            short, full = conjoin_unimplied(d, atoms), conjoin(d, atoms)
+            short, full = extend(d, atoms), conjoin(d, atoms)
             assert set(d) <= set(short) <= set(full)
             for _ in range(10):
                 sigma = val(**{v: Fraction(rng.randint(-12, 12), 4) for v in variables})
