@@ -15,7 +15,9 @@ rationals from the rows of that stage.
 A guard becomes disjuncts in one place, :func:`to_dnf`, through one walk,
 ``_dnf``, that pushes negation inward as it goes and iterates the
 arguments of each n-ary ``And``/``Or``.  A disjunct is a tuple of atoms.
-Every layer that builds disjuncts extends one with :func:`conjoin`.
+Every layer that builds disjuncts extends one with :func:`conjoin`, which
+keeps one atom per row direction, the tightest, by the rule a system keeps
+for its rows; no other code above Fourier-Motzkin compares parallel atoms.
 :func:`to_dnf` drops repeated atom sets with :func:`unique`; the DNF
 states that later layers build (the cell walk's :func:`refine_dnf` and the
 guarded normal form) are kept minimal with :func:`absorb`, which also drops
@@ -155,30 +157,27 @@ def is_isolated_in(atom: Atom, var: str) -> bool:
 
 
 def conjoin(d: Disjunct, atoms) -> Disjunct:
-    """The disjunct ``d`` extended by ``atoms``, each atom kept once."""
-    return tuple(dict.fromkeys((*d, *atoms)))
+    """The disjunct ``d`` extended by ``atoms``, one atom per direction.
 
-
-def parallel_rows(d: Disjunct) -> dict:
-    """The rows of the conjunction ``d`` keyed by direction (see
-    :func:`_row`), the tightest of parallel atoms kept; empty when an atom
-    folds to false."""
-    compiled = _system(d)
-    return compiled[0] if compiled is not None else {}
-
-
-def conjoin_unimplied(d: Disjunct, rows: dict, atoms) -> Disjunct:
-    """:func:`conjoin` without the atoms that an atom of ``d`` implies by
-    being parallel to it and at least as tight.  ``rows`` is
-    :func:`parallel_rows` of ``d``, so a caller extending ``d`` several
-    times compiles it once."""
-    kept = []
-    for atom in atoms:
+    Of atoms whose rows share a direction (see :func:`_row`) only the
+    tightest stays, in the position of the first of them; an equally tight
+    one keeps the first.  This is the rule a Fourier-Motzkin system keeps
+    for its rows, so the result is equivalent to the plain conjunction.
+    Atoms that fold are kept once each.
+    """
+    kept: dict = {}  # direction (or a folding atom) -> (position, row)
+    out: list[Atom] = []
+    for atom in (*d, *atoms):
         row = _row(atom)
-        old = rows.get(row[0]) if isinstance(row, tuple) else None
-        if old is None or not _covers(old, *row[1:]):
-            kept.append(atom)
-    return conjoin(d, kept)
+        key = row[0] if isinstance(row, tuple) else atom
+        old = kept.get(key)
+        if old is None:
+            kept[key] = len(out), row
+            out.append(atom)
+        elif isinstance(row, tuple) and not _covers(old[1][1:], *row[1:]):
+            kept[key] = old[0], row
+            out[old[0]] = atom
+    return tuple(out)
 
 
 def unique(disjuncts) -> list[Disjunct]:
@@ -226,11 +225,12 @@ def _dnf(phi: BoolExpr, positive: bool) -> list[Disjunct]:
     """Disjuncts of ``phi`` (of its negation when not ``positive``).
 
     Negation is pushed inward as the walk goes, atoms come folded and each
-    disjunct keeps an atom once.  A conjunction's product is checked for
-    satisfiability after each factor with more than one disjunct and once
-    at the end, so a conjunction of atoms costs one check and one pass
-    over its atoms.  A disjunction's parts are concatenated, repeats
-    included.  Chains are iterated; only nesting recurses.
+    disjunct keeps one atom per direction (see :func:`conjoin`).  A
+    conjunction's product is checked for satisfiability after each factor
+    with more than one disjunct and once at the end, so a conjunction of
+    atoms costs one check and one pass over its atoms.  A disjunction's
+    parts are concatenated, repeats included.  Chains are iterated; only
+    nesting recurses.
     """
     if isinstance(phi, Atom):
         atom = fold_atom(phi if positive else negate_atom(phi))
@@ -271,10 +271,11 @@ def to_dnf(phi: BoolExpr) -> list[Disjunct]:
     """Disjunctive normal form with unsatisfiable disjuncts pruned.
 
     The returned list's disjunction is equivalent to ``phi``; the empty
-    list encodes false.  Atoms come folded, each disjunct keeps an atom
-    once and no two disjuncts share an atom set.  Disjuncts follow the
-    order of the guard: a disjunction's parts left to right, a
-    conjunction's product with its first factor outermost.
+    list encodes false.  Atoms come folded, each disjunct keeps one atom
+    per direction (the tightest, see :func:`conjoin`) and no two
+    disjuncts share an atom set.  Disjuncts follow the order of the
+    guard: a disjunction's parts left to right, a conjunction's product
+    with its first factor outermost.
     """
     return list(_to_dnf_cached(phi))
 

@@ -136,15 +136,16 @@ def is_partitioning(body: Body) -> bool:
     fixing one atom true or false, with Fourier-Motzkin pruning of
     branches whose literals cannot hold together.  A branch stops at a
     second true guard or once the split atoms force every guard, so only
-    regions where guards interact get split.  Atoms over one hyperplane
-    written differently (``x < 1``, ``2*x >= 2``) are split apart, and FM
-    refutes the branches that contradict.  It pays one
-    :func:`~linquant.logic.to_dnf` per guard, which every engine caller
-    computes next anyway.
+    regions where guards interact get split.  A branch's cell keeps one
+    atom per direction (:func:`~linquant.logic.conjoin`), and branches
+    are walked with an explicit stack, as a chain can outgrow the
+    recursion limit.  It pays one :func:`~linquant.logic.to_dnf` per
+    guard, which every engine caller computes next anyway.
     """
     guards = [to_dnf(t.guard) for t in body]
-
-    def dfs(cell: Disjunct, truth: dict, undecided: list[int], trues: int) -> bool:
+    stack: list[tuple[Disjunct, dict, list[int], int]] = [((), {}, list(range(len(guards))), 0)]
+    while stack:
+        cell, truth, undecided, trues = stack.pop()
         still: list[int] = []
         for k in undecided:
             value = _eval_dnf(guards[k], truth)
@@ -155,20 +156,16 @@ def is_partitioning(body: Body) -> bool:
             elif value is None:
                 still.append(k)
         if not still:
-            return trues == 1
-        split = next(a for d in guards[still[0]] for a in d if a not in truth)
-        for literal, value in ((split, True), (negate_atom(split), False)):
-            extended = cell + (literal,)
-            if not disjunct_sat(extended):
-                continue
-            truth[split] = value
-            good = dfs(extended, truth, still, trues)
-            del truth[split]
-            if not good:
+            if trues != 1:
                 return False
-        return True
-
-    return dfs((), {}, list(range(len(guards))), 0)
+            continue
+        split = next(a for d in guards[still[0]] for a in d if a not in truth)
+        # pushed false first, so the true branch is walked first
+        for literal, value in ((negate_atom(split), False), (split, True)):
+            extended = conjoin(cell, (literal,))
+            if disjunct_sat(extended):
+                stack.append((extended, {**truth, split: value}, still, trues))
+    return True
 
 
 def _eval_dnf(disjuncts: list[Disjunct], truth: dict) -> bool | None:

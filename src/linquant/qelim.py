@@ -15,9 +15,9 @@ the guarded-normal-form body in three layers:
   inf) of partitioning bodies: each cell of their product (walked by
   :func:`~linquant.normalform.cells`) keeps each distinct value that is the
   largest (smallest) somewhere in it, guarded by the walk's reduced,
-  absorbed DNF plus the tie atoms, which the next round splits as it stands.
-  A tie atom that a parallel, at-least-as-tight state atom implies is not
-  added (see :func:`~linquant.logic.conjoin_unimplied`).
+  absorbed DNF plus the tie atoms (conjoined one per direction, see
+  :func:`~linquant.logic.conjoin`), which the next round splits as it
+  stands.
 
 Both selections are :func:`_winners`: ties go to the first candidate.
 
@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotIsolated, NotPartitioning
 from .logic import (
-    conjoin_unimplied,
+    conjoin,
     disjunct_sat,
     dnf_to_bool,
     fold_atom,
     is_isolated_in,
     negate_atom,
-    parallel_rows,
     reduce_disjunct,
     to_dnf,
     unique,
@@ -128,8 +127,9 @@ def _append_folded(atoms: list[Atom], atom: Atom) -> bool:
     return True
 
 
-def _feasibility_atoms(d: Disjunct, var: str, bounds: BoundSets) -> list[Atom] | None:
-    """Atoms of the feasibility constraint, or None when it folds to false."""
+def _feasibility_atoms(d: Disjunct, var: str, bounds: BoundSets) -> Disjunct | None:
+    """Atoms of the feasibility constraint, one per direction (see
+    :func:`~linquant.logic.conjoin`), or None when it folds to false."""
     atoms: list[Atom] = []
     pairs = (
         (bounds.nonstrict_lower, bounds.nonstrict_upper, Rel.LE),
@@ -145,7 +145,7 @@ def _feasibility_atoms(d: Disjunct, var: str, bounds: BoundSets) -> list[Atom] |
     for lit in _x_free_literals(d, var):
         if not _append_folded(atoms, lit):
             return None
-    return atoms
+    return conjoin((), atoms)
 
 
 def feasibility(d: Disjunct, var: str) -> BoolExpr:
@@ -230,7 +230,7 @@ def eliminate_over_disjunct(
         return tuple(terms)
     use_uppers = (coeff > 0) == (quant is Quant.SUP)
     blist = bounds.uppers() if use_uppers else bounds.lowers()
-    for (cell,), bound in _winners([tuple(feas)], blist, upper=use_uppers):
+    for (cell,), bound in _winners([feas], blist, upper=use_uppers):
         terms.append(GuardedTerm(and_all(cell), substitute_bound(value, var, bound)))
     return tuple(terms)
 
@@ -240,12 +240,11 @@ def _winners(state: list[Disjunct], candidates, upper: bool):
     repeats) that is the tightest bound somewhere in the DNF ``state``;
     ``live`` is the satisfiable part of ``state`` where it wins."""
     distinct = list(dict.fromkeys(candidates))
-    compiled = [(d, parallel_rows(d)) for d in state]  # once, not per candidate
     for i, candidate in enumerate(distinct, start=1):
         ties = _selector_atoms(distinct, i, upper)
         if ties is None:
             continue
-        extended = unique(conjoin_unimplied(d, rows, ties) for d, rows in compiled)
+        extended = unique(conjoin(d, ties) for d in state)
         live = [d for d in extended if disjunct_sat(d)]
         if live:
             yield live, candidate

@@ -15,9 +15,10 @@ def test_exports_resolve_once():
     assert missing == []
 
 
-# eliminate on five criterion-4 and five nested generator seeds (60073 and
-# 60079 drop tie atoms that a cell-state atom implies), and both
-# interpolants of five entailing pairs, whose verdicts come from the memo
+# eliminate on five criterion-4 and five nested generator seeds (in 60073
+# and 60079 ``conjoin`` drops tie atoms parallel to a cell-state atom at
+# least as tight), and both interpolants of five entailing pairs, whose
+# verdicts come from the memo
 HASH_SEED_SNIPPET = """
 from conftest import entailing_pair
 from linquant import GenParams, eliminate, random_quantity

@@ -10,19 +10,18 @@ from hypothesis import strategies as st
 
 from linquant import Atom, Disjunct, GenParams, LinExpr, NEG_OO, OO, Rel, random_quantity
 from linquant.logic import (
+    _row,
     absorb,
     atom_eval,
     bool_eval,
     bool_sat,
     conjoin,
-    conjoin_unimplied,
     disjunct_sat,
     dnf_to_bool,
     fm_witness,
     fold_atom,
     isolate,
     negate_atom,
-    parallel_rows,
     to_dnf,
 )
 from linquant.oracle import random_valuation, sample_pool
@@ -211,7 +210,8 @@ class TestToDnf:
     def test_wide_chain(self, default_recursion_limit):
         guard = parse_quantity(WIDE_OR_TEXT).body[0].guard
         assert to_dnf(guard) == [(a,) for a in guard.args]
-        assert to_dnf(Not(guard)) == [tuple(negate_atom(a) for a in guard.args)]
+        # the negated atoms y <= i share a direction: only the tightest stays
+        assert to_dnf(Not(guard)) == [(negate_atom(guard.args[0]),)]
 
     def test_generator_corpus_digest(self):
         # every guard of a fixed generator corpus and its negation, printed
@@ -224,7 +224,7 @@ class TestToDnf:
             for phi in (term.guard, Not(term.guard))
         ]
         assert len(lines) == 3954
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "9cdae2b52897125f"
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "649c72132ed96fd5"
 
 
 class TestAbsorb:
@@ -276,36 +276,59 @@ class TestAbsorb:
                 assert bool_eval(sigma, g) == any(all(atom_eval(sigma, a) for a in d) for d in ds)
 
 
-def extend(d, atoms):
-    return conjoin_unimplied(d, parallel_rows(d), atoms)
+def directions(d):
+    """The row directions of the atoms of ``d`` that do not fold."""
+    return [row[0] for row in map(_row, d) if isinstance(row, tuple)]
 
 
-class TestConjoinUnimplied:
+class TestConjoin:
     def test_parallel_at_least_as_tight_skipped(self):
         state = (atom(lin(-1, x=-3), ">", 0), atom(Y, "<", 1))
         # -3x - 1 >= 0 and x < 1 are implied by -3x - 1 > 0 (that is, x < -1/3)
         for implied in (atom(lin(-1, x=-3), ">=", 0), atom(X, "<", 1), atom(lin(0, x=2), "<=", 2)):
-            assert extend(state, [implied]) == state
+            assert conjoin(state, [implied]) == state
         # y <= 1 and 2y < 2 are at most as tight as y < 1
-        assert extend(state, [atom(Y, "<=", 1), atom(lin(0, y=2), "<", 2)]) == state
+        assert conjoin(state, [atom(Y, "<=", 1), atom(lin(0, y=2), "<", 2)]) == state
 
-    def test_tighter_opposite_and_other_directions_kept(self):
+    def test_tighter_replaces_in_place(self):
+        state = (atom(X, "<=", 1), atom(Y, "<", 1))
+        for tighter in (atom(X, "<", 1), atom(X, "<=", 0), atom(lin(0, x=2), "<", 0)):
+            assert conjoin(state, [tighter]) == (tighter, state[1])
+        # among the new atoms, and inside ``d`` itself, too
+        loose, tight = atom(X, "<=", 2), atom(X, "<=", 1)
+        assert conjoin((), [loose, atom(Y, ">", 0), tight]) == (tight, atom(Y, ">", 0))
+        assert conjoin((loose, atom(Y, ">", 0), tight), []) == (tight, atom(Y, ">", 0))
+
+    def test_equally_tight_keeps_first(self):
+        a, b = atom(X, "<", 1), atom(lin(0, x=2), "<", 2)
+        assert conjoin((a,), [b]) == (a,)
+        assert conjoin((b,), [a]) == (b,)
+        assert conjoin((a, atom(Y, ">", 0)), [a]) == (a, atom(Y, ">", 0))
+
+    def test_opposite_and_other_directions_kept(self):
         state = (atom(X, "<=", 1),)
-        for kept in (atom(X, "<", 1), atom(X, "<=", 0), atom(X, ">", 0), atom(lin(0, x=1, y=1), "<", 1)):
-            assert extend(state, [kept]) == (*state, kept)
+        others = (atom(X, ">", 0), atom(X, ">=", 2), atom(lin(0, x=1, y=1), "<", 1), atom(Y, "<=", 1))
+        for kept in others:
+            assert conjoin(state, [kept]) == (*state, kept)
 
-    def test_equivalent_to_conjoin(self):
+    def test_folding_atoms_kept_once(self):
+        false = atom(1, "<", 0)
+        assert conjoin((false,), [false, atom(X, "<", 0)]) == (false, atom(X, "<", 0))
+
+    def test_equivalent_to_plain_conjunction(self):
         rng = random.Random(2_024)
         variables = ["x", "y"]
         for _ in range(300):
             d = random_frac_disjunct(rng, variables, max_atoms=4, bound=3)
             atoms = random_frac_disjunct(rng, variables, max_atoms=3, bound=3)
-            short, full = extend(d, atoms), conjoin(d, atoms)
-            assert set(d) <= set(short) <= set(full)
+            out = conjoin(d, atoms)
+            assert set(out) <= set(d) | set(atoms)
+            dirs = directions(out)
+            assert len(dirs) == len(set(dirs))
             for _ in range(10):
                 sigma = val(**{v: Fraction(rng.randint(-12, 12), 4) for v in variables})
                 holds = lambda c: all(atom_eval(sigma, a) for a in c)
-                assert holds(short) == holds(full)
+                assert holds(out) == holds((*d, *atoms))
 
 
 class TestIsolate:

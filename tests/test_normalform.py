@@ -205,6 +205,16 @@ class TestToGnf:
         assert [t.guard for t in gnf.body] == [guard, y_le_0]
         assert is_partitioning(gnf.body)
 
+    def test_chain_longer_than_the_recursion_limit(self, default_recursion_limit):
+        # is_partitioning fixes one more atom of the chain per branch, so
+        # its walk is 1,200 splits deep on the uncovered side
+        q = parse_quantity("[" + " || ".join(f"y > {i}" for i in range(1_200)) + "] * x")
+        assert not is_partitioning(q.body)
+        gnf = to_gnf(q, "y")
+        y_le_0 = Atom(LinExpr.var("y"), Rel.LE, LinExpr.const(0))
+        assert [t.guard for t in gnf.body] == [q.body[0].guard, y_le_0]
+        assert is_partitioning(gnf.body)
+
 
 def _guard_atoms(phi):
     if isinstance(phi, Atom):

@@ -42,7 +42,7 @@ from linquant import (
     width,
 )
 from linquant.errors import NotIsolated, NotPartitioning, WellFormednessViolation
-from linquant.logic import atom_eval, bool_eval, disjunct_sat
+from linquant.logic import _row, atom_eval, bool_eval, disjunct_sat
 from linquant.normalform import cells
 from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
@@ -442,11 +442,10 @@ NESTED = GenParams(vars=3, summands=3, atoms_per_guard=2, infinity_prob=0.1, qua
 VALUES = [parse_body(f"[true] * ({v})")[0].value for v in ("y", "z", "2*y - 1", "0", "oo", "-oo")]
 
 
-def twin_atoms(d):
-    """Atoms of ``d`` whose non-strict twin (same sides) is in ``d`` too."""
-    sides = {(a.lhs, a.rel, a.rhs) for a in d}
-    nonstrict = {Rel.LT: Rel.LE, Rel.GT: Rel.GE}
-    return [a for a in d if a.rel in nonstrict and (a.lhs, nonstrict[a.rel], a.rhs) in sides]
+def has_parallel_atoms(d):
+    """Whether two atoms of ``d`` share a row direction (see ``logic._row``)."""
+    directions = [row[0] for row in map(_row, d) if isinstance(row, tuple)]
+    return len(directions) != len(set(directions))
 
 
 class TestDistinctCandidates:
@@ -460,17 +459,20 @@ class TestDistinctCandidates:
             assert out == combine([(GuardedTerm(TRUE, v),) for v in dict.fromkeys(values)])
 
     def test_no_strict_and_non_strict_twin(self):
-        # a value repeated in a cell gave a disjunct both ``a < b`` and
-        # ``a <= b`` (seeds 60014 and 60066); a tie atom conjoined beside a
-        # cell-state atom that implies it did too (seeds 60073 and 60079)
-        twinned = set()
-        for seed in range(60_000, 60_100):
-            for term in eliminate(random_quantity(NESTED, seed)).body:
-                disjuncts = dnf_split(term.guard)
-                assert disjuncts is not None, (seed, term.guard)
-                if any(twin_atoms(d) for d in disjuncts):
-                    twinned.add(seed)
-        assert twinned == set()
+        # no output disjunct holds two atoms of one row direction: a value
+        # repeated in a cell gave a disjunct both ``a < b`` and ``a <= b``
+        # (seeds 60014 and 60066); a tie atom conjoined beside a parallel
+        # cell-state atom kept both (seeds 60014 and 40000)
+        parallel = set()
+        corpora = ((NESTED, range(60_000, 60_100)), (CRITERION_4, range(40_000, 40_200)))
+        for params, seeds in corpora:
+            for seed in seeds:
+                for term in eliminate(random_quantity(params, seed)).body:
+                    disjuncts = dnf_split(term.guard)
+                    assert disjuncts is not None, (seed, term.guard)
+                    if any(has_parallel_atoms(d) for d in disjuncts):
+                        parallel.add(seed)
+        assert parallel == set()
 
 
 class TestEliminate:
