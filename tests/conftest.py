@@ -25,7 +25,7 @@ from linquant import (
     parse_quantity,
 )
 from linquant.terms import And, Not, Or
-from linquant.logic import atom_eval
+from linquant.logic import _row, atom_eval
 
 EX1_TEXT = "sup x : [y1 >= z -> (x - 2 < y1 && -x >= y3 && x >= y2)] * (2*x + z)"
 
@@ -193,6 +193,12 @@ def is_antichain(disjuncts) -> bool:
     """No two disjuncts share an atom set and none's set contains another's."""
     sets = [frozenset(d) for d in disjuncts]
     return len(set(sets)) == len(sets) and not any(a < b for a in sets for b in sets)
+
+
+def has_parallel_atoms(d) -> bool:
+    """Whether two atoms of ``d`` share a row direction (see ``logic._row``)."""
+    directions = [row[0] for row in map(_row, d) if isinstance(row, tuple)]
+    return len(directions) != len(set(directions))
 
 
 def seeded_instances(count: int, base_seed: int, **overrides):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from linquant import Atom, Disjunct, GenParams, LinExpr, NEG_OO, OO, Rel, random_quantity
 from linquant.logic import (
-    _row,
     absorb,
     atom_eval,
     bool_eval,
@@ -33,6 +32,7 @@ from conftest import (
     WIDE_OR_TEXT,
     atom,
     grid_sat,
+    has_parallel_atoms,
     is_antichain,
     lin,
     quantifier_free,
@@ -276,11 +276,6 @@ class TestAbsorb:
                 assert bool_eval(sigma, g) == any(all(atom_eval(sigma, a) for a in d) for d in ds)
 
 
-def directions(d):
-    """The row directions of the atoms of ``d`` that do not fold."""
-    return [row[0] for row in map(_row, d) if isinstance(row, tuple)]
-
-
 class TestConjoin:
     def test_parallel_at_least_as_tight_skipped(self):
         state = (atom(lin(-1, x=-3), ">", 0), atom(Y, "<", 1))
@@ -323,8 +318,7 @@ class TestConjoin:
             atoms = random_frac_disjunct(rng, variables, max_atoms=3, bound=3)
             out = conjoin(d, atoms)
             assert set(out) <= set(d) | set(atoms)
-            dirs = directions(out)
-            assert len(dirs) == len(set(dirs))
+            assert not has_parallel_atoms(out)
             for _ in range(10):
                 sigma = val(**{v: Fraction(rng.randint(-12, 12), 4) for v in variables})
                 holds = lambda c: all(atom_eval(sigma, a) for a in c)

@@ -42,7 +42,7 @@ from linquant import (
     width,
 )
 from linquant.errors import NotIsolated, NotPartitioning, WellFormednessViolation
-from linquant.logic import _row, atom_eval, bool_eval, disjunct_sat
+from linquant.logic import atom_eval, bool_eval, disjunct_sat
 from linquant.normalform import cells
 from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
@@ -60,7 +60,7 @@ from linquant.terms import (
     fvars_body,
 )
 
-from conftest import atom, is_antichain, lin, quantifier_free, val
+from conftest import atom, has_parallel_atoms, is_antichain, lin, quantifier_free, val
 
 # the bounded disjunct of the running example: x < y1+2, x <= -y3, x >= y2
 D_BOUNDED = Disjunct(
@@ -440,12 +440,6 @@ class TestMinimalDnf:
 
 NESTED = GenParams(vars=3, summands=3, atoms_per_guard=2, infinity_prob=0.1, quantifiers=2)
 VALUES = [parse_body(f"[true] * ({v})")[0].value for v in ("y", "z", "2*y - 1", "0", "oo", "-oo")]
-
-
-def has_parallel_atoms(d):
-    """Whether two atoms of ``d`` share a row direction (see ``logic._row``)."""
-    directions = [row[0] for row in map(_row, d) if isinstance(row, tuple)]
-    return len(directions) != len(set(directions))
 
 
 class TestDistinctCandidates:
