@@ -199,9 +199,12 @@ def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     contains another's), which keeps later per-disjunct eliminations from
     multiplying.
     Isolation keeps each atom equivalent and unfoldable, so every
-    disjunct stays satisfiable.
+    disjunct stays satisfiable.  It also keeps each atom's row, so the
+    isolated disjunct still holds one atom per row direction, as every
+    :func:`~linquant.logic.to_dnf` disjunct does, and needs no
+    :func:`~linquant.logic.conjoin`.
     """
-    disjuncts = [reduce_disjunct(conjoin((), (isolate(a, var) for a in d))) for d in to_dnf(guard)]
+    disjuncts = [reduce_disjunct(tuple(isolate(a, var) for a in d)) for d in to_dnf(guard)]
     return dnf_to_bool(absorb(disjuncts))
 
 

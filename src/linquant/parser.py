@@ -14,11 +14,20 @@ The concrete grammar::
 tighter than ``->``.  Linear expressions are normalized while parsing (like
 terms combined, zero coefficients dropped); a product or quotient of two
 variable-carrying expressions raises :class:`NonLinearError`.
+
+One regular expression splits the text into tokens: a number is a run of
+decimal digits, a name starts with a letter or ``_`` and goes on with word
+characters, the rest are the grammar's symbols, and any other character is
+a :class:`ParseError`.  The same pass pairs each ``(`` with its matching
+``)``: a ``(`` whose ``)`` is followed by ``<``, ``<=``, ``>``, ``>=``,
+``+``, ``-``, ``*`` or ``/`` starts an atom, any other opens a Boolean
+group.  So one token of lookahead decides every choice, nothing is parsed
+twice, and parsing takes time linear in the text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import NonLinearError, ParseError
@@ -42,116 +51,93 @@ from .terms import (
 )
 
 _KEYWORDS = {"sup", "inf", "true", "false", "oo"}
-_SYMBOLS = ["<=", ">=", "->", "&&", "||", "<", ">", "!", "[", "]", "(", ")", "*", "+", "-", "/", ":"]
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[^\W\d]\w*)"
+    r"|(?P<sym><=|>=|->|&&|\|\||[-<>!\[\]()*+/:])|(?P<bad>\S))"
+)
 _REL_TOKENS = {"<": Rel.LT, "<=": Rel.LE, ">": Rel.GT, ">=": Rel.GE}
+_ATOM_FOLLOW = {*_REL_TOKENS, "+", "-", "*", "/"}
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "num", "ident", "kw", "sym", "eof"
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; only ``\\n`` ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
+    """Tokens ``(kind, text, offset)`` ending in ``eof``, and the index of
+    each matched ``(`` token's ``)``.  A symbol or keyword is its own kind;
+    the other kinds are ``num`` and ``name``."""
+    tokens: list[tuple[str, str, int]] = []
+    opens: list[int] = []
+    closes: dict[int, int] = {}
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, offset = m[kind], m.start(kind)
+        # \w also takes digits that are not decimal ("²"), which cannot start a name
+        if kind == "bad" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, offset))
+        if kind == "sym" or word in _KEYWORDS:
+            kind = word
+        if kind == "(":
+            opens.append(len(tokens))
+        elif kind == ")" and opens:
+            closes[opens.pop()] = len(tokens)
+        tokens.append((kind, word, offset))
+    tokens.append(("eof", "", len(text)))
+    return tokens, closes
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens, self.closes = _tokenize(text)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
-    def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind in ("sym", "kw") and tok.text == text:
-            self.advance()
+    def accept(self, kind: str) -> bool:
+        if self.peek()[0] == kind:
+            self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind in ("sym", "kw") and tok.text == text:
-            return self.advance()
-        raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+    def expect(self, kind: str) -> None:
+        if not self.accept(kind):
+            raise self.error(f"expected {kind!r}, found {self.peek()[1] or 'end of input'!r}")
 
-    def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, tok=None, cls: type[ParseError] = ParseError) -> ParseError:
+        return cls(message, *_position(self.text, (tok or self.peek())[2]))
 
     # quantity ---------------------------------------------------------
 
     def quantity(self) -> Quantity:
         prefix: list[tuple[Quant, str]] = []
         seen: set[str] = set()
-        while self.peek().kind == "kw" and self.peek().text in ("sup", "inf"):
-            quant = Quant(self.advance().text)
-            tok = self.peek()
-            if tok.kind != "ident":
+        while self.peek()[0] in ("sup", "inf"):
+            quant = Quant(self.advance()[1])
+            kind, name, _ = self.peek()
+            if kind != "name":
                 raise self.error("expected a variable name after quantifier")
-            if tok.text in seen:
-                raise self.error(f"duplicate quantifier variable {tok.text!r}")
-            seen.add(tok.text)
+            if name in seen:
+                raise self.error(f"duplicate quantifier variable {name!r}")
+            seen.add(name)
             self.advance()
             self.expect(":")
-            prefix.append((quant, tok.text))
+            prefix.append((quant, name))
         body = [self.gterm()]
         while self.accept("+"):
             body.append(self.gterm())
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input {tok.text!r}")
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            raise self.error(f"unexpected trailing input {text!r}")
         return Quantity(tuple(prefix), tuple(body))
 
     def gterm(self) -> GuardedTerm:
@@ -159,8 +145,7 @@ class _Parser:
         guard = self.bool_expr()
         self.expect("]")
         self.expect("*")
-        value = self.extlin()
-        return GuardedTerm(guard, value)
+        return GuardedTerm(guard, self.additive())
 
     # Boolean layer ----------------------------------------------------
 
@@ -184,114 +169,82 @@ class _Parser:
         return and_all(parts)
 
     def bool_not(self) -> BoolExpr:
-        if self.accept("!"):
+        kind = self.peek()[0]
+        if kind == "!":
+            self.advance()
             return Not(self.bool_not())
-        return self.bool_atom()
-
-    def bool_atom(self) -> BoolExpr:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == "true":
+        if kind in ("true", "false"):
             self.advance()
-            return TRUE
-        if tok.kind == "kw" and tok.text == "false":
+            return TRUE if kind == "true" else FALSE
+        close = self.closes.get(self.i)
+        if kind == "(" and (close is None or self.tokens[close + 1][0] not in _ATOM_FOLLOW):
             self.advance()
-            return FALSE
-        if tok.kind == "sym" and tok.text == "(":
-            # Either a parenthesized Boolean or an atom whose left side is
-            # a parenthesized linear expression; try the atom first.
-            saved = self.i
-            try:
-                return self.atom()
-            except ParseError:
-                self.i = saved
-            self.expect("(")
             inner = self.bool_expr()
             self.expect(")")
             return inner
-        return self.atom()
-
-    def atom(self) -> Atom:
-        lhs = self.extlin()
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text in _REL_TOKENS:
-            self.advance()
-        else:
+        lhs = self.additive()
+        rel = self.peek()[0]
+        if rel not in _REL_TOKENS:
             raise self.error("expected a relation (<, <=, >, >=)")
-        rhs = self.extlin()
-        return Atom(lhs, _REL_TOKENS[tok.text], rhs)
+        self.advance()
+        return Atom(lhs, _REL_TOKENS[rel], self.additive())
 
     # Arithmetic layer -------------------------------------------------
 
-    def extlin(self) -> ExtLinExpr:
-        return self.additive()
-
     def additive(self) -> ExtLinExpr:
         node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind != "sym" or tok.text not in ("+", "-"):
-                break
-            # A "+" that introduces the next guarded term belongs to the body.
-            if tok.text == "+" and self.peek(1).text == "[":
-                break
-            self.advance()
+        # a "+" that introduces the next guarded term belongs to the body
+        while (op := self.peek()[0]) == "-" or op == "+" and self.tokens[self.i + 1][0] != "[":
+            tok = self.advance()
             rhs = self.term()
             if isinstance(node, InfExpr) or isinstance(rhs, InfExpr):
                 raise self.error("infinite constant cannot appear inside arithmetic", tok)
-            node = node + rhs if tok.text == "+" else node - rhs
+            node = node + rhs if op == "+" else node - rhs
         return node
 
     def term(self) -> ExtLinExpr:
         node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind != "sym" or tok.text not in ("*", "/"):
-                break
-            self.advance()
+        while self.peek()[0] in ("*", "/"):
+            tok = self.advance()
             rhs = self.factor()
             if isinstance(node, InfExpr) or isinstance(rhs, InfExpr):
                 raise self.error("infinite constant cannot appear inside arithmetic", tok)
-            if tok.text == "*":
+            if tok[0] == "*":
                 if node.is_constant:
                     node = rhs.scale(node.constant)
                 elif rhs.is_constant:
                     node = node.scale(rhs.constant)
                 else:
-                    raise NonLinearError("product of two variable expressions", tok.line, tok.col)
+                    raise self.error("product of two variable expressions", tok, NonLinearError)
             else:
                 if not rhs.is_constant:
-                    raise NonLinearError("division by a variable expression", tok.line, tok.col)
+                    raise self.error("division by a variable expression", tok, NonLinearError)
                 if rhs.constant == 0:
                     raise self.error("division by zero", tok)
                 node = node.scale(Fraction(1) / rhs.constant)
         return node
 
     def factor(self) -> ExtLinExpr:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.advance()
+        kind, text, _ = tok = self.advance()
+        if kind == "-":
             inner = self.factor()
-            if isinstance(inner, InfExpr):
-                return InfExpr(-inner.sign)
-            return -inner
-        if tok.kind == "sym" and tok.text == "+":
-            self.advance()
+            return InfExpr(-inner.sign) if isinstance(inner, InfExpr) else -inner
+        if kind == "+":
             return self.factor()
-        if tok.kind == "num":
-            self.advance()
-            return LinExpr.const(int(tok.text))
-        if tok.kind == "kw" and tok.text == "oo":
-            self.advance()
+        if kind == "num":
+            try:
+                return LinExpr.const(int(text))
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                raise self.error("number too long", tok) from None
+        if kind == "oo":
             return OO
-        if tok.kind == "ident":
-            self.advance()
-            return LinExpr.var(tok.text)
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
+        if kind == "name":
+            return LinExpr.var(text)
+        if kind == "(":
             inner = self.additive()
             self.expect(")")
             return inner
-        raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
+        raise self.error(f"expected an expression, found {text or 'end of input'!r}", tok)
 
 
 def parse_quantity(text: str) -> Quantity:

@@ -118,11 +118,11 @@ def _x_free_literals(d: Disjunct, var: str) -> list[Atom]:
 
 
 def _append_folded(atoms: list[Atom], atom: Atom) -> bool:
-    """Fold and append; returns False when the atom folds to false."""
+    """Fold and append (repeats too); returns False when the atom folds to false."""
     folded = fold_atom(atom)
     if folded is FALSE:
         return False
-    if folded is not TRUE and folded not in atoms:
+    if folded is not TRUE:
         atoms.append(folded)
     return True
 
@@ -173,7 +173,7 @@ def _selector_atoms(blist, i: int, upper: bool) -> list[Atom] | None:
         rel = strict if k < i else nonstrict
         if not _append_folded(atoms, Atom(chosen, rel, other)):
             return None
-    return atoms
+    return list(dict.fromkeys(atoms))
 
 
 def least_upper_selector(bounds: BoundSets, i: int) -> BoolExpr:

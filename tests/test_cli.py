@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -45,6 +46,21 @@ class TestElim:
         code, _, err = run(capsys, "elim", path)
         assert code == 1
         assert "parse error" in err
+
+    def test_unexpected_character_exit_code(self, files, capsys):
+        code, out, err = run(capsys, "elim", files("bad.lq", "[x > ²] * 1"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    def test_deep_parentheses_parse_in_linear_time(self, files, capsys):
+        # one token of lookahead, no backtracking: each level is parsed once
+        depth = 3_000
+        path = files("deep.lq", "[" + "(" * depth + "x > 0" + ")" * depth + "] * 1")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "elim", path)
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (0, "[x > 0] * 1\n", "")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code, out, err = run(capsys, "elim", str(tmp_path / "absent.lq"))

@@ -173,6 +173,13 @@ class TestSelectors:
         bs = extract_bounds(d, "x")
         assert isinstance(greatest_lower_selector(bs, 2), TrueExpr)
 
+    def test_repeated_bound_compared_once(self):
+        # lowers (0, 0, 2*y - 2, -oo): both 0s ask for 2*y - 2 > 0
+        from linquant import BoundSets
+
+        bs = BoundSets((), (OO,), (lin(0),), (lin(0), lin(-2, y=2), NEG_OO))
+        assert greatest_lower_selector(bs, 3) == atom(lin(-2, y=2), ">", 0)
+
     def test_index_out_of_range(self):
         bs = extract_bounds(D_BOUNDED, "x")
         with pytest.raises(IndexOutOfRange):

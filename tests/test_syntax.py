@@ -1,6 +1,7 @@
 """Parser, printer, free variables, and leaf evaluation."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,11 @@ from linquant.printer import print_bool
 from linquant.terms import And, Not, Or, TrueExpr
 
 from conftest import EX1_TEXT, WIDE_OR_TEXT, lin, quantifier_free, val
+
+SOUP_TOKENS = [
+    "sup", "inf", "x", "y1", ":", "[", "]", "(", ")", "*", "+", "-", "/", "<", "<=", ">", ">=",
+    "!", "&&", "||", "->", "true", "false", "oo", "0", "12", "%", "²", "٣", "\n",
+]
 
 
 class TestParse:
@@ -101,6 +107,56 @@ class TestParse:
         guard = q.body[0].guard
         assert isinstance(guard, And)
         assert isinstance(guard.args[0], Or)
+
+    def test_parenthesis_followed_by_operator_starts_an_atom(self):
+        guard = parse_quantity("[(x + 1) * 2 <= y] * 1").body[0].guard
+        assert guard == Atom(lin(2, x=2), Rel.LE, lin(0, y=1))
+        assert parse_quantity("[(x) > 0] * 1").body[0].guard == Atom(lin(0, x=1), Rel.GT, lin(0))
+
+    def test_other_parentheses_group(self):
+        assert parse_quantity("[((x > 0))] * 1") == parse_quantity("[x > 0] * 1")
+        x_pos, y_pos = (Atom(lin(0, **{v: 1}), Rel.GT, lin(0)) for v in "xy")
+        guard = parse_quantity("[(x > 0) -> (y > 0)] * 1").body[0].guard
+        assert guard == Or(Not(x_pos), y_pos)
+
+    @pytest.mark.parametrize(
+        "text, char, line, column",
+        [
+            ("[x > ²] * 1", "²", 1, 6),
+            ("[x > 1²] * 1", "²", 1, 7),
+            ("[true] * ³", "³", 1, 10),
+            ("[true]\n * ³", "³", 2, 4),
+        ],
+    )
+    def test_digit_that_is_not_decimal_rejected(self, text, char, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_quantity(text)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{line}:{column}: unexpected character {char!r}"
+
+    def test_number_past_the_int_conversion_limit_rejected(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(ParseError) as err:
+            parse_quantity("[true] * " + "1" * digits)
+        assert str(err.value) == "1:10: number too long"
+
+    def test_unicode_decimal_digits_and_names(self):
+        # "٣" is a decimal digit, so a number; "²" may continue a name
+        guard = parse_quantity("[x² > ٣] * 1").body[0].guard
+        assert guard == Atom(LinExpr.var("x²"), Rel.GT, lin(3))
+
+    @settings(deadline=None, max_examples=600)
+    @given(
+        st.sampled_from(["", "[", "[x > ", "[true] * ", "sup x : [(x + "]),
+        st.lists(st.sampled_from(SOUP_TOKENS), max_size=12),
+        st.sampled_from(["", " "]),
+    )
+    def test_only_parse_errors(self, head, tokens, sep):
+        # the heads put the parser where a number or a name may come next
+        try:
+            parse_quantity(head + sep.join(tokens))
+        except ParseError:
+            pass
 
 
 class TestPrint:
