@@ -4,7 +4,8 @@ Commands: elim, eval, interpolate, entails, check, gnf.  Input is a UTF-8
 file in the quantity grammar (or a JSON AST, detected by a leading "{");
 ``-`` or no file reads stdin.  Values print as rationals (``5/3``) or
 ``oo`` / ``-oo``.  Exit codes: 0 success, 1 parse error (also a malformed
-JSON AST, too deep nesting, or input too deep for the engine), 2
+JSON AST, too deep nesting, input too deep for the engine, or an output
+number longer than Python prints, ``sys.get_int_max_str_digits()``), 2
 well-formedness violation, 3 missing variable binding, 4 failed entailment,
 5 input not readable, 6 usage error (bad command line).
 
@@ -52,6 +53,10 @@ class InputUnreadable(Exception):
     """An input file could not be opened or decoded."""
 
 
+class OutputTooLarge(Exception):
+    """A number of the output has more digits than Python turns into text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a bad command line in one line with its own exit code, so it
     cannot be read as a well-formedness violation (argparse's exit 2)."""
@@ -88,11 +93,21 @@ def _quantity_from_json_text(text: str) -> Quantity:
         raise ParseError(f"malformed JSON AST: {exc}", 1, 1) from None
 
 
+def _print(render) -> None:
+    """Print ``render()``, whose integers Python may refuse to turn into
+    text (a ``ValueError`` past ``sys.get_int_max_str_digits()``)."""
+    try:
+        text = render()
+    except ValueError as exc:
+        raise OutputTooLarge(str(exc)) from None
+    print(text)
+
+
 def _emit(q: Quantity, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(quantity_to_json(q), sort_keys=True))
+        _print(lambda: json.dumps(quantity_to_json(q), sort_keys=True))
     else:
-        print(print_quantity(q))
+        _print(lambda: print_quantity(q))
 
 
 def _parse_sigma(spec: str) -> Valuation:
@@ -131,7 +146,8 @@ def _cmd_eval(args) -> int:
     missing = sorted(free_vars(q) - set(sigma))
     if missing:
         raise MissingVariable(missing[0])
-    print(eval_quantity(sigma, q.body))
+    value = eval_quantity(sigma, q.body)
+    _print(lambda: str(value))
     return EXIT_OK
 
 
@@ -142,7 +158,7 @@ def _cmd_entails(args) -> int:
     if witness is None:
         print("yes")
         return EXIT_OK
-    print(f"no {witness}")
+    _print(lambda: f"no {witness}")
     return EXIT_NOT_ENTAILED
 
 
@@ -249,6 +265,10 @@ def main(argv=None) -> int:
         return EXIT_UNREADABLE
     except RecursionError:
         print(f"too deep: input exceeds the recursion limit {RECURSION_LIMIT}", file=sys.stderr)
+        return EXIT_PARSE
+    except OutputTooLarge:
+        digits = sys.get_int_max_str_digits()
+        print(f"too large: an output number has more than {digits} digits", file=sys.stderr)
         return EXIT_PARSE
     finally:
         sys.setrecursionlimit(limit)

@@ -18,10 +18,9 @@ arguments of each n-ary ``And``/``Or``.  A disjunct is a tuple of atoms.
 Every layer that builds disjuncts extends one with :func:`conjoin`, which
 keeps one atom per row direction, the tightest, by the rule a system keeps
 for its rows; no other code above Fourier-Motzkin compares parallel atoms.
-:func:`to_dnf` drops repeated atom sets with :func:`unique`; the DNF
-states that later layers build (the cell walk's :func:`refine_dnf` and the
-guarded normal form) are kept minimal with :func:`absorb`, which also drops
-every disjunct whose atoms include all of another's.
+Every DNF, :func:`to_dnf`'s, the cell walk's :func:`refine_dnf` states and
+the guarded normal form, is kept minimal by one rule, :func:`absorb`: no
+disjunct's atoms include all of another's (absorption, McCluskey 1956).
 """
 
 from __future__ import annotations
@@ -113,24 +112,14 @@ def fold_atom(atom: Atom) -> Atom | TrueExpr | FalseExpr:
 
 @lru_cache(maxsize=1 << 16)
 def isolate(atom: Atom, var: str) -> Atom:
-    """Rewrite an atom mentioning ``var`` into the shape ``var rel bound``.
+    """Rewrite a folded atom (two finite sides, as every :func:`to_dnf`
+    atom has) mentioning ``var`` into the shape ``var rel bound``.
 
     The bound never mentions ``var``; the relation flips when the collected
     coefficient is negative and division is exact.  Atoms not mentioning
     ``var`` (including ones where it cancels) come back ``var``-free.
     """
     lhs, rel, rhs = atom.lhs, atom.rel, atom.rhs
-    if isinstance(lhs, InfExpr):
-        if isinstance(rhs, InfExpr) or var not in rhs.coeffs:
-            return atom
-        return isolate(Atom(rhs, rel.flipped, lhs), var)
-    if isinstance(rhs, InfExpr):
-        c = lhs.coeff(var)
-        if c == 0:
-            return atom
-        bound = InfExpr(rhs.sign if c > 0 else -rhs.sign)
-        new_rel = rel if c > 0 else rel.flipped
-        return Atom(LinExpr.var(var), new_rel, bound)
     if var not in lhs.coeffs and var not in rhs.coeffs:
         return atom
     diff = lhs - rhs  # atom is equivalent to diff rel 0
@@ -180,18 +169,6 @@ def conjoin(d: Disjunct, atoms) -> Disjunct:
     return tuple(out)
 
 
-def unique(disjuncts) -> list[Disjunct]:
-    """The first disjunct of each distinct atom set, in order."""
-    seen: set[frozenset] = set()
-    out: list[Disjunct] = []
-    for d in disjuncts:
-        key = frozenset(d)
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    return out
-
-
 def absorb(disjuncts) -> list[Disjunct]:
     """The first disjunct of each minimal atom set, in order.
 
@@ -228,9 +205,9 @@ def _dnf(phi: BoolExpr, positive: bool) -> list[Disjunct]:
     disjunct keeps one atom per direction (see :func:`conjoin`).  A
     conjunction's product is checked for satisfiability after each factor
     with more than one disjunct and once at the end, so a conjunction of
-    atoms costs one check and one pass over its atoms.  A disjunction's
-    parts are concatenated, repeats included.  Chains are iterated; only
-    nesting recurses.
+    atoms costs one check and one pass over its atoms; each product is
+    absorbed first.  A disjunction's parts are concatenated, repeats
+    included.  Chains are iterated; only nesting recurses.
     """
     if isinstance(phi, Atom):
         atom = fold_atom(phi if positive else negate_atom(phi))
@@ -252,19 +229,19 @@ def _dnf(phi: BoolExpr, positive: bool) -> list[Disjunct]:
         if len(factor) == 1:
             pending += factor[0]
             continue
-        product = unique(conjoin(p, (*pending, *d)) for p in product for d in factor)
+        product = absorb(conjoin(p, (*pending, *d)) for p in product for d in factor)
         product = [p for p in product if disjunct_sat(p)]
         if not product:
             return product
         pending = []
     if pending:
-        product = [p for p in unique(conjoin(p, pending) for p in product) if disjunct_sat(p)]
+        product = [p for p in absorb(conjoin(p, pending) for p in product) if disjunct_sat(p)]
     return product
 
 
 @lru_cache(maxsize=1 << 14)
 def _to_dnf_cached(phi: BoolExpr) -> tuple[Disjunct, ...]:
-    return tuple(unique(_dnf(phi, True)))
+    return tuple(absorb(_dnf(phi, True)))
 
 
 def to_dnf(phi: BoolExpr) -> list[Disjunct]:
@@ -272,10 +249,10 @@ def to_dnf(phi: BoolExpr) -> list[Disjunct]:
 
     The returned list's disjunction is equivalent to ``phi``; the empty
     list encodes false.  Atoms come folded, each disjunct keeps one atom
-    per direction (the tightest, see :func:`conjoin`) and no two
-    disjuncts share an atom set.  Disjuncts follow the order of the
-    guard: a disjunction's parts left to right, a conjunction's product
-    with its first factor outermost.
+    per direction (the tightest, see :func:`conjoin`) and no disjunct's
+    atom set contains another's (:func:`absorb`).  Disjuncts follow the
+    order of the guard: a disjunction's parts left to right, a
+    conjunction's product with its first factor outermost.
     """
     return list(_to_dnf_cached(phi))
 

@@ -1,10 +1,11 @@
 """Independent semantic machinery for testing the engine.
 
 ``eval_quantity`` evaluates a quantifier-free body exactly.  ``oracle_sup``
-and ``oracle_inf`` compute the one-variable supremum/infimum of a body in
-guarded normal form by brute-force region analysis: evaluate every bound at
-the valuation, split the line at the finite breakpoints, and take the
-extremum of the active linear piece on each region via its endpoint limits.
+and ``oracle_inf`` compute the one-variable supremum/infimum of any
+quantifier-free body by brute-force region analysis: solve every atom for
+the variable at the valuation, split the line at the breakpoints, and take
+the extremum of the active linear piece on each region via its endpoint
+limits.
 None of this shares code with the elimination engine, so agreement between
 the two is meaningful evidence.
 """
@@ -15,8 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotIsolated, UndefinedSum
-from .logic import bool_eval, is_isolated_in
+from .errors import UndefinedSum
+from .logic import bool_eval
 from .normalform import check_well_formed, make_partitioning
 from .numerics import NEG_OO, OO, ExtRat, ext_add, ext_cmp
 from .terms import (
@@ -33,7 +34,6 @@ from .terms import (
     Rel,
     Valuation,
     fvars_body,
-    fvars_expr,
     lin_eval,
 )
 
@@ -55,19 +55,19 @@ def eval_quantity(valuation: Valuation, body) -> ExtRat:
 
 
 def _collect_breakpoints(body, var: str, valuation: Valuation) -> list[Fraction]:
+    """Where some atom's truth can change along ``var``: an atom reads
+    ``a*var + b rel 0`` at the valuation and changes at ``-b/a``; one with
+    an infinite side, or in which ``var`` cancels, never does."""
     points: set[Fraction] = set()
 
     def scan(phi: BoolExpr):
         if isinstance(phi, Atom):
-            lhs_has = var in fvars_expr(phi.lhs)
-            rhs_has = var in fvars_expr(phi.rhs)
-            if not lhs_has and not rhs_has:
+            if isinstance(phi.lhs, InfExpr) or isinstance(phi.rhs, InfExpr):
                 return
-            if not is_isolated_in(phi, var):
-                raise NotIsolated(f"atom does not isolate {var!r}: {phi!r}")
-            bound = lin_eval(valuation, phi.rhs)
-            if not isinstance(bound, InfExpr):
-                points.add(bound)
+            diff = phi.lhs - phi.rhs
+            a = diff.coeff(var)
+            if a:
+                points.add(-diff.without(var).evaluate(valuation) / a)
         elif isinstance(phi, Not):
             scan(phi.arg)
         elif isinstance(phi, (And, Or)):

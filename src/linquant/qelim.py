@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotIsolated, NotPartitioning
 from .logic import (
+    absorb,
     conjoin,
     disjunct_sat,
     dnf_to_bool,
@@ -39,7 +40,6 @@ from .logic import (
     negate_atom,
     reduce_disjunct,
     to_dnf,
-    unique,
 )
 from .normalform import cells, check_well_formed, is_partitioning, make_partitioning, to_gnf
 from .terms import (
@@ -238,13 +238,13 @@ def eliminate_over_disjunct(
 def _winners(state: list[Disjunct], candidates, upper: bool):
     """Yield ``(live, c)`` for each distinct candidate ``c`` (the first of
     repeats) that is the tightest bound somewhere in the DNF ``state``;
-    ``live`` is the satisfiable part of ``state`` where it wins."""
+    ``live`` is the satisfiable, absorbed part of ``state`` where it wins."""
     distinct = list(dict.fromkeys(candidates))
     for i, candidate in enumerate(distinct, start=1):
         ties = _selector_atoms(distinct, i, upper)
         if ties is None:
             continue
-        extended = unique(conjoin(d, ties) for d in state)
+        extended = absorb(conjoin(d, ties) for d in state)
         live = [d for d in extended if disjunct_sat(d)]
         if live:
             yield live, candidate

@@ -32,7 +32,6 @@ from linquant import (
     pointwise_min,
     random_quantity,
     strongest_interpolant,
-    to_gnf,
     weakest_interpolant,
     width,
 )
@@ -68,7 +67,6 @@ def test_criterion_01_running_example_end_to_end():
     plain = eliminate(q)
     simplified = eliminate(q, simplify=True)
     elapsed = time.time() - started
-    gnf = to_gnf(Quantity((), q.body), "x")
     # Independent composition of hand-derived per-disjunct eliminants,
     # combined by a plain pointwise maximum of evaluations (no engine code).
     reference = [
@@ -84,7 +82,7 @@ def test_criterion_01_running_example_end_to_end():
     variables = ["y1", "y2", "y3", "z"]
     for _ in range(1_000):
         sigma = _sigma(rng, variables)
-        expected = oracle_sup(sigma, "x", gnf.body)
+        expected = oracle_sup(sigma, "x", q.body)
         assert ext_cmp(eval_quantity(sigma, plain.body), expected) == 0
         composed = max(eval_quantity(sigma, b) for b in reference)
         assert ext_cmp(eval_quantity(sigma, simplified.body), composed) == 0
@@ -156,7 +154,6 @@ def test_criterion_04_single_quantifier_soundness():
     failures = 0
     for q in _single_quantifier_corpus():
         quant, var = q.prefix[0]
-        gnf = to_gnf(Quantity((), q.body), var)
         result = eliminate(q)
         oracle = oracle_sup if quant is Quant.SUP else oracle_inf
         ok = (
@@ -167,7 +164,7 @@ def test_criterion_04_single_quantifier_soundness():
         variables = sorted(free_vars(q))
         for _ in range(100):
             sigma = _sigma(rng, variables, denominator=4)
-            if ext_cmp(eval_quantity(sigma, result.body), oracle(sigma, var, gnf.body)) != 0:
+            if ext_cmp(eval_quantity(sigma, result.body), oracle(sigma, var, q.body)) != 0:
                 ok = False
                 break
         if not ok:
@@ -190,12 +187,11 @@ def test_criterion_05_nested_quantifiers():
         (outer_quant, outer_var), inner = q.prefix[0], q.prefix[1]
         full = eliminate(q)
         inner_only = eliminate(Quantity((inner,), q.body))
-        outer_gnf = to_gnf(Quantity((), inner_only.body), outer_var)
         oracle = oracle_sup if outer_quant is Quant.SUP else oracle_inf
         variables = sorted(free_vars(q))
         for _ in range(50):
             sigma = _sigma(rng, variables, denominator=4)
-            expected = oracle(sigma, outer_var, outer_gnf.body)
+            expected = oracle(sigma, outer_var, inner_only.body)
             if ext_cmp(eval_quantity(sigma, full.body), expected) != 0:
                 failures += 1
                 break

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import io
 import json
+import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +296,63 @@ def test_ill_formed_exit_code(files, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("ill-formed: terms 0 and 1") and err.count("\n") == 1
+
+
+# N * N has 6,000 digits, past the 4,300 digits Python turns into text
+HUGE = "7" * 3_000
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["elim", "{f}"], f"[true] * {HUGE} * {HUGE}"),
+        (["elim", "--json", "{f}"], f"[true] * {HUGE} * {HUGE}"),
+        (["eval", "{f}"], f"[true] * {HUGE} * {HUGE}"),
+        (["gnf", "--var", "x", "{f}"], f"[true] * {HUGE} * {HUGE}"),
+        # the witness has x >= N * N
+        (["entails", "{f}", "{zero}"], f"[x >= {HUGE} * {HUGE}] * 1"),
+    ],
+    ids=["elim", "elim-json", "eval", "gnf", "entails-witness"],
+)
+def test_too_large_exit_code(files, capsys, argv, text):
+    paths = {"{f}": files("big.lq", text), "{zero}": files("zero.lq", "[true] * 0")}
+    limit = sys.getrecursionlimit()
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("too large:") and err.count("\n") == 1
+    assert sys.getrecursionlimit() == limit
+
+
+def test_readme_session(tmp_path, capsys, monkeypatch):
+    # each `$ linquant ...` line runs through main and prints exactly the
+    # lines README shows after it; `echo ... > f` and `<<'EOF'` are honoured
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    session = readme.split("Example session:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = session.splitlines()
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    while lines:
+        words = shlex.split(lines.pop(0).removeprefix("$ "))
+        if words[0] == "echo":
+            text, redirect, name = words[1:]
+            assert redirect == ">"
+            Path(name).write_text(text + "\n", encoding="utf-8")
+            continue
+        assert words[0] == "linquant", words
+        if words[-1] == "<<EOF":
+            end = lines.index("EOF")
+            stdin, lines = lines[:end], lines[end + 1 :]
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(stdin) + "\n"))
+            words.pop()
+        shown = []
+        while lines and not lines[0].startswith("$ "):
+            shown.append(lines.pop(0))
+        code, out, err = run(capsys, *words[1:])
+        assert (code, err) == (0, ""), words
+        assert out.splitlines() == shown, words
+        commands += 1
+    assert commands == 4
 
 
 @pytest.mark.parametrize(

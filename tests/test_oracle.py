@@ -11,6 +11,7 @@ from linquant import (
     GenParams,
     NEG_OO,
     OO,
+    Quant,
     Quantity,
     UndefinedSum,
     check_well_formed,
@@ -24,8 +25,9 @@ from linquant import (
     random_quantity,
     to_gnf,
 )
+from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
-from linquant.terms import Valuation
+from linquant.terms import Valuation, fvars_body
 
 from conftest import val
 
@@ -54,10 +56,9 @@ class TestEvalQuantity:
 
 class TestOracleSup:
     def test_example_region_limit(self, ex1):
-        gnf = to_gnf(Quantity((), ex1.body), "x")
         sigma = val(y1=0, y2=-5, y3=-3, z=-1)
         # active region [-5, 2) carries 2x + z; the limit at 2 gives 3
-        assert oracle_sup(sigma, "x", gnf.body) == 3
+        assert oracle_sup(sigma, "x", ex1.body) == 3
 
     def test_constant_body(self):
         body = parse_body("[true] * 5")
@@ -90,16 +91,13 @@ class TestOracleSup:
                 seed=42_000 + case,
             )
             var = q.prefix[0][1]
-            gnf = to_gnf(Quantity((), q.body), var)
-            from linquant.terms import fvars_body
-
-            others = sorted(fvars_body(gnf.body) - {var})
+            others = sorted(fvars_body(q.body) - {var})
             sigma = Valuation({v: Fraction(rng.randint(-8, 8), 2) for v in others})
-            oracle_value = oracle_sup(sigma, var, gnf.body)
+            oracle_value = oracle_sup(sigma, var, q.body)
             grid_best = None
             x = Fraction(-20)
             while x <= 20:
-                v = eval_quantity(sigma.updated(var, x), gnf.body)
+                v = eval_quantity(sigma.updated(var, x), q.body)
                 if grid_best is None or ext_cmp(v, grid_best) > 0:
                     grid_best = v
                 x += step
@@ -114,18 +112,33 @@ class TestOracleSup:
                 seed=43_000 + case,
             )
             var = q.prefix[0][1]
-            gnf = to_gnf(Quantity((), q.body), var)
-            from linquant.terms import fvars_body
-
-            others = sorted(fvars_body(gnf.body) - {var})
+            others = sorted(fvars_body(q.body) - {var})
             sigma = Valuation({v: Fraction(rng.randint(-16, 16), 4) for v in others})
-            sup_value = oracle_sup(sigma, var, gnf.body)
-            inf_value = oracle_inf(sigma, var, gnf.body)
+            sup_value = oracle_sup(sigma, var, q.body)
+            inf_value = oracle_inf(sigma, var, q.body)
             for _ in range(100):
                 x = Fraction(rng.randint(-80, 80), 8)
-                point = eval_quantity(sigma.updated(var, x), gnf.body)
+                point = eval_quantity(sigma.updated(var, x), q.body)
                 assert ext_cmp(point, sup_value) <= 0
                 assert ext_cmp(point, inf_value) >= 0
+
+    def test_raw_body_matches_gnf(self):
+        # on the criterion-4 corpus the oracle reads the same extremum from
+        # the raw body as from its guarded normal form
+        params = GenParams(vars=3, summands=3, atoms_per_guard=3, coeff_bound=3,
+                           infinity_prob=0.1, quantifiers=1)
+        rng = random.Random(4_004)
+        for seed in range(40_000, 40_200):
+            q = random_quantity(params, seed)
+            quant, var = q.prefix[0]
+            gnf = to_gnf(Quantity((), q.body), var)
+            oracle = oracle_sup if quant is Quant.SUP else oracle_inf
+            variables = sorted(fvars_body(q.body) - {var})
+            pool = sample_pool(q)
+            for _ in range(100):
+                sigma = random_valuation(variables, rng, pool)
+                raw, normal = oracle(sigma, var, q.body), oracle(sigma, var, gnf.body)
+                assert ext_cmp(raw, normal) == 0, (seed, sigma)
 
 
 class TestRandomQuantity:
