@@ -21,6 +21,7 @@ for its rows; no other code above Fourier-Motzkin compares parallel atoms.
 Every DNF, :func:`to_dnf`'s, the cell walk's :func:`refine_dnf` states and
 the guarded normal form, is kept minimal by one rule, :func:`absorb`: no
 disjunct's atoms include all of another's (absorption, McCluskey 1956).
+The walk's states are not reduced (:func:`reduce_disjunct`); each emitted cell is.
 """
 
 from __future__ import annotations
@@ -234,9 +235,7 @@ def _dnf(phi: BoolExpr, positive: bool) -> list[Disjunct]:
         if not product:
             return product
         pending = []
-    if pending:
-        product = [p for p in absorb(conjoin(p, pending) for p in product) if disjunct_sat(p)]
-    return product
+    return refine_dnf(product, [pending]) if pending else product
 
 
 @lru_cache(maxsize=1 << 14)
@@ -277,16 +276,14 @@ def reduce_disjunct(d: Disjunct) -> Disjunct:
     return tuple(atoms)
 
 
-def refine_dnf(state: list[Disjunct], guard: BoolExpr) -> list[Disjunct]:
-    """Conjoin a guard into a pruned, minimal DNF state.
+def refine_dnf(state: list[Disjunct], branches) -> list[Disjunct]:
+    """Conjoin the DNF ``branches`` into a DNF state: absorb, then prune.
 
-    Surviving disjuncts are reduced to an equivalent minimal form, so the
-    per-step satisfiability checks stay cheap no matter how many guards
-    have been conjoined before, and the state is then absorbed
-    (:func:`absorb`): no disjunct's atom set contains another's.
+    Products are not reduced: :func:`conjoin` keeps one atom per row
+    direction, so a disjunct cannot grow with the number of guards
+    conjoined, and whoever emits a cell reduces it once.
     """
-    merged = (conjoin(d, branch) for branch in to_dnf(guard) for d in state)
-    return absorb(reduce_disjunct(m) for m in merged if disjunct_sat(m))
+    return [m for m in absorb(conjoin(d, b) for b in branches for d in state) if disjunct_sat(m)]
 
 
 # Fourier-Motzkin satisfiability ------------------------------------------

@@ -94,10 +94,9 @@ def cells(bodies):
     """Walk the product of bodies, one term from each, in body order.
 
     Yields ``(state, chosen)`` for every choice of terms whose guards can
-    hold together: ``state`` is the reduced, absorbed DNF of the chosen
-    guards' conjunction (built with :func:`~linquant.logic.refine_dnf`, so
-    no disjunct's atom set contains another's), never empty, and
-    ``chosen`` the terms.  A choice is dropped as soon as its
+    hold together: ``state`` is the absorbed, unreduced DNF of the chosen
+    guards' conjunction (see :func:`~linquant.logic.refine_dnf`), never
+    empty, and ``chosen`` the terms.  A choice is dropped as soon as its
     growing conjunction is unsatisfiable.  The walk keeps an explicit
     stack, since the number of bodies can reach the hundreds.
     """
@@ -109,7 +108,7 @@ def cells(bodies):
             yield state, chosen
             continue
         for term in reversed(bodies[k]):  # reversed: pop order matches body order
-            refined = refine_dnf(state, term.guard)
+            refined = refine_dnf(state, to_dnf(term.guard))
             if refined:
                 stack.append((k + 1, refined, chosen + (term,)))
 
@@ -194,17 +193,15 @@ def _eval_dnf(disjuncts: list[Disjunct], truth: dict) -> bool | None:
 def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     """DNF the guard, isolating ``var`` in every atom.
 
-    Disjuncts are reduced to minimal equivalent form and the list is
-    absorbed (:func:`~linquant.logic.absorb`: no disjunct's atom set
-    contains another's), which keeps later per-disjunct eliminations from
-    multiplying.
-    Isolation keeps each atom equivalent and unfoldable, so every
-    disjunct stays satisfiable.  It also keeps each atom's row, so the
-    isolated disjunct still holds one atom per row direction, as every
-    :func:`~linquant.logic.to_dnf` disjunct does, and needs no
+    Disjuncts are reduced (a cache hit on a cell an earlier round
+    emitted), then isolated, and the list is absorbed
+    (:func:`~linquant.logic.absorb`), which keeps later per-disjunct
+    eliminations from multiplying.  Isolation keeps each atom equivalent,
+    unfoldable and on its row, so a disjunct stays satisfiable, reduced
+    and one atom per row direction, and needs no
     :func:`~linquant.logic.conjoin`.
     """
-    disjuncts = [reduce_disjunct(tuple(isolate(a, var) for a in d)) for d in to_dnf(guard)]
+    disjuncts = [tuple(isolate(a, var) for a in reduce_disjunct(d)) for d in to_dnf(guard)]
     return dnf_to_bool(absorb(disjuncts))
 
 
@@ -212,9 +209,9 @@ def to_gnf(q: Quantity, var: str, *, assume_partitioning: bool = False) -> Quant
     """Guarded normal form w.r.t. ``var``.
 
     The result is semantically equivalent: its body is partitioning, every
-    guard is a minimal DNF (reduced disjuncts, none whose atom set
-    contains another's, see :func:`_gnf_guard`), and every atom mentioning
-    ``var`` has the isolated shape ``var rel bound``.
+    guard is a minimal DNF (each disjunct reduced once, none whose atom
+    set contains another's, see :func:`_gnf_guard`), and every atom
+    mentioning ``var`` has the isolated shape ``var rel bound``.
     """
     body = q.body
     if not (assume_partitioning or is_partitioning(body)):

@@ -14,10 +14,10 @@ the guarded-normal-form body in three layers:
 * recombine everything with a pointwise maximum (for sup) or minimum (for
   inf) of partitioning bodies: each cell of their product (walked by
   :func:`~linquant.normalform.cells`) keeps each distinct value that is the
-  largest (smallest) somewhere in it, guarded by the walk's reduced,
-  absorbed DNF plus the tie atoms (conjoined one per direction, see
-  :func:`~linquant.logic.conjoin`), which the next round splits as it
-  stands.
+  largest (smallest) somewhere in it, guarded by the walk's absorbed DNF
+  refined by the tie atoms (conjoined one per direction, see
+  :func:`~linquant.logic.refine_dnf`); each emitted disjunct is reduced
+  once and the next round splits the guard as it stands.
 
 Both selections are :func:`_winners`: ties go to the first candidate.
 
@@ -33,12 +33,12 @@ from .errors import IndexOutOfRange, NotIsolated, NotPartitioning
 from .logic import (
     absorb,
     conjoin,
-    disjunct_sat,
     dnf_to_bool,
     fold_atom,
     is_isolated_in,
     negate_atom,
     reduce_disjunct,
+    refine_dnf,
     to_dnf,
 )
 from .normalform import cells, check_well_formed, is_partitioning, make_partitioning, to_gnf
@@ -238,14 +238,13 @@ def eliminate_over_disjunct(
 def _winners(state: list[Disjunct], candidates, upper: bool):
     """Yield ``(live, c)`` for each distinct candidate ``c`` (the first of
     repeats) that is the tightest bound somewhere in the DNF ``state``;
-    ``live`` is the satisfiable, absorbed part of ``state`` where it wins."""
+    ``live`` is :func:`~linquant.logic.refine_dnf` of ``state`` by its ties."""
     distinct = list(dict.fromkeys(candidates))
     for i, candidate in enumerate(distinct, start=1):
         ties = _selector_atoms(distinct, i, upper)
         if ties is None:
             continue
-        extended = absorb(conjoin(d, ties) for d in state)
-        live = [d for d in extended if disjunct_sat(d)]
+        live = refine_dnf(state, [ties])
         if live:
             yield live, candidate
 
@@ -262,10 +261,10 @@ def _pointwise_extreme(bodies: list[Body], maximum: bool, check: bool) -> Body:
                 raise NotPartitioning(f"input body {k} is not partitioning")
     out: list[GuardedTerm] = []
     for state, chosen in cells(bodies):
-        # ``state`` is the cell's reduced DNF; a maximum is selected as a
-        # greatest lower bound, a minimum as a least upper one
+        # a maximum is selected as a greatest lower bound, a minimum as a
+        # least upper one; each emitted disjunct is reduced here, once
         for live, value in _winners(state, [t.value for t in chosen], upper=not maximum):
-            out.append(GuardedTerm(dnf_to_bool(live), value))
+            out.append(GuardedTerm(dnf_to_bool(absorb(reduce_disjunct(d) for d in live)), value))
     assert out, "pointwise extreme of covering bodies cannot be empty"
     return tuple(out)
 
@@ -276,7 +275,7 @@ def pointwise_max(bodies, *, check: bool = True) -> Body:
     cell of their product and distinct value that is the maximum there.
 
     Every output guard is a disjunction of satisfiable conjunctions of
-    atoms: the reduced DNF of the chosen input guards plus the tie atoms.
+    atoms: the chosen guards' DNF plus the tie atoms, each disjunct reduced.
     """
     return _pointwise_extreme([tuple(b) for b in bodies], maximum=True, check=check)
 

@@ -6,17 +6,18 @@ inequalities and values are (extended) linear expressions.  ``And`` and
 ``Or`` are n-ary: a left-associated chain such as ``a || b || c`` is one
 node, so a guard is only as deep as its nesting, not as wide as its
 chains.  A :data:`Disjunct` (a conjunction of atoms) is a plain tuple of
-atoms.  All node types are immutable and hashable, so terms can be shared
-freely and used as cache keys.  The infinite constants ``OO``/``NEG_OO`` are defined in
-:mod:`linquant.numerics` and re-exported here: they are both terms and
-values.
+atoms.  All node types are immutable and hashable (``And``, ``Or`` and
+``Not`` hash once, when built, so depth costs no recursion), so terms can
+be shared freely and used as cache keys.  The infinite constants
+``OO``/``NEG_OO`` are defined in :mod:`linquant.numerics` and re-exported
+here: they are both terms and values.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MissingVariable
@@ -239,6 +240,13 @@ FALSE = FalseExpr()
 @dataclass(frozen=True, slots=True)
 class Not:
     arg: "BoolExpr"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Not", self.arg)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class _Connective:
@@ -255,14 +263,12 @@ class _Connective:
         if type(args[0]) is type(self):
             args = args[0].args + args[1:]
         self.args: tuple[BoolExpr, ...] = args
-        self._hash: int | None = None
+        self._hash: int = hash((type(self).__name__, args))
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is type(self) and self.args == other.args)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, self.args))
         return self._hash
 
     def __repr__(self) -> str:

@@ -42,7 +42,7 @@ from linquant import (
     width,
 )
 from linquant.errors import NotIsolated, NotPartitioning, WellFormednessViolation
-from linquant.logic import atom_eval, bool_eval, disjunct_sat
+from linquant.logic import atom_eval, bool_eval, disjunct_sat, reduce_disjunct
 from linquant.normalform import cells
 from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
@@ -462,8 +462,11 @@ class TestDistinctCandidates:
         # no output disjunct holds two atoms of one row direction: a value
         # repeated in a cell gave a disjunct both ``a < b`` and ``a <= b``
         # (seeds 60014 and 60066); a tie atom conjoined beside a parallel
-        # cell-state atom kept both (seeds 60014 and 40000)
-        parallel = set()
+        # cell-state atom kept both (seeds 60014 and 40000).  Every emitted
+        # disjunct is also reduced: no atom is implied by the rest (tie
+        # atoms conjoined after a reduction left such atoms in 920 of the
+        # criterion-4 disjuncts)
+        parallel, unreduced = set(), set()
         corpora = ((NESTED, range(60_000, 60_100)), (CRITERION_4, range(40_000, 40_200)))
         for params, seeds in corpora:
             for seed in seeds:
@@ -472,7 +475,10 @@ class TestDistinctCandidates:
                     assert disjuncts is not None, (seed, term.guard)
                     if any(has_parallel_atoms(d) for d in disjuncts):
                         parallel.add(seed)
+                    if any(reduce_disjunct(d) != d for d in disjuncts):
+                        unreduced.add(seed)
         assert parallel == set()
+        assert unreduced == set()
 
 
 class TestEliminate:

@@ -205,6 +205,19 @@ class TestPrint:
         assert quantity_from_json(json.loads(json.dumps(quantity_to_json(q)))) == q
         assert len(q.body[0].guard.args) == 600
 
+    def test_deep_guards_hash(self, default_recursion_limit):
+        # each node hashes from its arguments' cached hashes, so hashing a
+        # guard nested past the recursion limit does not recurse
+        b = Atom(LinExpr.var("x"), Rel.GT, LinExpr.const(0))
+        negations, alternating = b, b
+        for _ in range(5_000):
+            negations = Not(negations)
+            alternating = Or(b, And(b, alternating))
+            hash(negations)
+            hash(alternating)
+        assert hash(Not(b)) == hash(Not(b)) and Not(b) == Not(b)
+        assert hash(Or(b, And(b, b))) == hash(Or(b, And(b, b)))
+
     def test_json_round_trip(self, ex1):
         assert quantity_from_json(quantity_to_json(ex1)) == ex1
         packed = quantity_to_json(parse_quantity("[x >= 1/2] * oo"))
