@@ -114,11 +114,13 @@ def _parse_sigma(spec: str) -> Valuation:
     bindings = {}
     if spec.strip():
         for piece in spec.split(","):
-            name, _, value = piece.partition("=")
-            if not value:
+            name, _, value = (part.strip() for part in piece.partition("="))
+            if not (name and value):
                 raise ParseError(f"bad binding {piece!r}, expected var=value", 1, 1)
+            if name in bindings:
+                raise ParseError(f"variable {name!r} bound twice in {spec!r}", 1, 1)
             try:
-                bindings[name.strip()] = Fraction(value.strip())
+                bindings[name] = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad value in binding {piece!r}", 1, 1) from None
     return Valuation(bindings)

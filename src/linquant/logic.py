@@ -18,9 +18,10 @@ arguments of each n-ary ``And``/``Or``.  A disjunct is a tuple of atoms.
 Every layer that builds disjuncts extends one with :func:`conjoin`, which
 keeps one atom per row direction, the tightest, by the rule a system keeps
 for its rows; no other code above Fourier-Motzkin compares parallel atoms.
-Every DNF, :func:`to_dnf`'s, the cell walk's :func:`refine_dnf` states and
-the guarded normal form, is kept minimal by one rule, :func:`absorb`: no
-disjunct's atoms include all of another's (absorption, McCluskey 1956).
+Every DNF, :func:`to_dnf`'s, the cell walk's :func:`refine_dnf` states,
+the guarded normal form and the guards of merged terms, is kept minimal by
+one rule, :func:`absorb`: no disjunct's atoms include all of another's
+(absorption, McCluskey 1956).
 The walk's states are not reduced (:func:`reduce_disjunct`); each emitted cell is.
 """
 

@@ -193,8 +193,8 @@ def _eval_dnf(disjuncts: list[Disjunct], truth: dict) -> bool | None:
 def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     """DNF the guard, isolating ``var`` in every atom.
 
-    Disjuncts are reduced (a cache hit on a cell an earlier round
-    emitted), then isolated, and the list is absorbed
+    Disjuncts are reduced (the cache is keyed by the unreduced input, so
+    most calls miss), then isolated, and the list is absorbed
     (:func:`~linquant.logic.absorb`), which keeps later per-disjunct
     eliminations from multiplying.  Isolation keeps each atom equivalent,
     unfoldable and on its row, so a disjunct stays satisfiable, reduced

@@ -33,6 +33,7 @@ from .terms import (
     Quantity,
     Rel,
     Valuation,
+    atoms,
     fvars_body,
     lin_eval,
 )
@@ -59,23 +60,14 @@ def _collect_breakpoints(body, var: str, valuation: Valuation) -> list[Fraction]
     ``a*var + b rel 0`` at the valuation and changes at ``-b/a``; one with
     an infinite side, or in which ``var`` cancels, never does."""
     points: set[Fraction] = set()
-
-    def scan(phi: BoolExpr):
-        if isinstance(phi, Atom):
-            if isinstance(phi.lhs, InfExpr) or isinstance(phi.rhs, InfExpr):
-                return
-            diff = phi.lhs - phi.rhs
+    for term in body:
+        for atom in atoms(term.guard):
+            if isinstance(atom.lhs, InfExpr) or isinstance(atom.rhs, InfExpr):
+                continue
+            diff = atom.lhs - atom.rhs
             a = diff.coeff(var)
             if a:
                 points.add(-diff.without(var).evaluate(valuation) / a)
-        elif isinstance(phi, Not):
-            scan(phi.arg)
-        elif isinstance(phi, (And, Or)):
-            for arg in phi.args:
-                scan(arg)
-
-    for term in body:
-        scan(term.guard)
     return sorted(points)
 
 
@@ -276,18 +268,10 @@ def _harvest_constants(q: Quantity) -> set[Fraction]:
             found.add(e.constant)
             found.update(e.coeffs.values())
 
-    def scan(phi: BoolExpr):
-        if isinstance(phi, Atom):
-            from_expr(phi.lhs)
-            from_expr(phi.rhs)
-        elif isinstance(phi, Not):
-            scan(phi.arg)
-        elif isinstance(phi, (And, Or)):
-            for arg in phi.args:
-                scan(arg)
-
     for term in q.body:
-        scan(term.guard)
+        for atom in atoms(term.guard):
+            from_expr(atom.lhs)
+            from_expr(atom.rhs)
         from_expr(term.value)
     return found
 

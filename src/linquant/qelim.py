@@ -17,9 +17,12 @@ the guarded-normal-form body in three layers:
   largest (smallest) somewhere in it, guarded by the walk's absorbed DNF
   refined by the tie atoms (conjoined one per direction, see
   :func:`~linquant.logic.refine_dnf`); each emitted disjunct is reduced
-  once and the next round splits the guard as it stands.
+  once.
 
 Both selections are :func:`_winners`: ties go to the first candidate.
+Merging equal values between rounds and the optional final simplification
+share one union step, :func:`_union`, which concatenates each value's
+disjuncts and absorbs them, so the guards they build are minimal DNFs too.
 
 All constructions prune guards that Fourier-Motzkin refutes; this keeps
 outputs near their simplified forms without changing semantics.
@@ -41,7 +44,8 @@ from .logic import (
     refine_dnf,
     to_dnf,
 )
-from .normalform import cells, check_well_formed, is_partitioning, make_partitioning, to_gnf
+from .normalform import (ZERO_TERM, cells, check_well_formed, is_partitioning,
+                         make_partitioning, to_gnf)
 from .terms import (
     FALSE,
     NEG_OO,
@@ -288,28 +292,31 @@ def pointwise_min(bodies, *, check: bool = True) -> Body:
 # Driver -------------------------------------------------------------------
 
 
-def merge_equal_values(body: Body) -> Body:
-    """Join terms carrying structurally equal values by disjoining guards.
+def _union(pairs) -> Body:
+    """One term per distinct value among ``(value, disjunct)`` pairs, in
+    first-seen order, guarded by its disjuncts absorbed
+    (:func:`~linquant.logic.absorb`); ``ZERO_TERM`` when there are none.
+    Equal values on overlapping guards would sum to twice the value, so the
+    pairs must come from pairwise-disjoint guards."""
+    groups: dict[ExtLinExpr, list[Disjunct]] = {}
+    for value, d in pairs:
+        groups.setdefault(value, []).append(d)
+    merged = tuple(GuardedTerm(dnf_to_bool(absorb(ds)), v) for v, ds in groups.items())
+    return merged or (ZERO_TERM,)
 
-    The body must be partitioning (or at least have pairwise-disjoint
-    guards): where two equal-valued guards overlap, their sum is twice the
-    value but the merged term carries it once.
-    """
-    order: list[ExtLinExpr] = []
-    groups: dict[ExtLinExpr, list[BoolExpr]] = {}
-    for term in body:
-        if term.value not in groups:
-            groups[term.value] = []
-            order.append(term.value)
-        groups[term.value].append(term.guard)
-    return tuple(GuardedTerm(or_all(groups[v]), v) for v in order)
+
+def merge_equal_values(body: Body) -> Body:
+    """Join equal-valued terms into one, its guard the absorbed DNF of their
+    disjunction (:func:`_union`).  The body must have pairwise-disjoint
+    guards, as a partitioning one has; then its function never changes."""
+    return _union((t.value, d) for t in body for d in to_dnf(t.guard))
 
 
 def eliminate_var(quant: Quant, var: str, body: Body) -> Body:
     """One elimination round over a body already in GNF w.r.t. ``var``."""
     tasks = [(d, term.value) for term in body for d in to_dnf(term.guard)]
     if not tasks:
-        return (GuardedTerm(TRUE, LinExpr.const(0)),)
+        return (ZERO_TERM,)
     sub_bodies = [eliminate_over_disjunct(quant, d, v, var) for d, v in tasks]
     combine = pointwise_max if quant is Quant.SUP else pointwise_min
     result = combine(sub_bodies, check=False)
@@ -322,13 +329,13 @@ def eliminate(q: Quantity, *, simplify: bool = False) -> Quantity:
     """Remove every quantifier, innermost first; the result is equivalent.
 
     Bodies between rounds stay partitioning; terms with equal values are
-    merged between rounds to curb growth.  Combination emits each output
-    cell as a disjunction of conjunctions of atoms, so the next round's
-    normal form splits those guards without re-normalising them.  The
-    optional ``simplify`` pass additionally drops zero-valued and
-    unsatisfiable terms from the final result (still semantics-preserving,
-    but no longer partitioning); a quantifier-free input is made
-    partitioning first, which that pass requires.
+    merged between rounds to curb growth.  Combination and merging emit
+    every guard as a minimal DNF, which the next round still splits again
+    through :func:`~linquant.logic.to_dnf`, in its normal form and in
+    :func:`eliminate_var`.  The optional ``simplify`` pass additionally
+    drops zero-valued and unsatisfiable terms from the final result (still
+    semantics-preserving, but no longer partitioning); a quantifier-free
+    input is made partitioning first, which that pass requires.
     """
     violation = check_well_formed(q)
     if violation is not None:
@@ -354,21 +361,16 @@ def eliminate(q: Quantity, *, simplify: bool = False) -> Quantity:
 
 
 def simplify_body(body: Body) -> Body:
-    """Fold guards, drop unsatisfiable, redundant, and zero-valued terms,
-    merge equal values.  The body must be partitioning; then the denoted
-    function never changes (see :func:`merge_equal_values`)."""
-    kept: list[GuardedTerm] = []
-    for term in body:
-        disjuncts = [reduce_disjunct(d) for d in to_dnf(term.guard)]
-        if not disjuncts:
-            continue
-        if isinstance(term.value, LinExpr) and term.value.is_zero:
-            continue
-        kept.append(GuardedTerm(dnf_to_bool(disjuncts), term.value))
-    merged = merge_equal_values(tuple(kept))
-    if not merged:
-        return (GuardedTerm(TRUE, LinExpr.const(0)),)
-    return merged
+    """Drop zero-valued and unsatisfiable terms, reduce each disjunct of
+    the rest once and merge equal values (see :func:`_union`), so every
+    guard is a minimal DNF of reduced disjuncts.  The body must be
+    partitioning; then the denoted function never changes."""
+    return _union(
+        (t.value, reduce_disjunct(d))
+        for t in body
+        if not (isinstance(t.value, LinExpr) and t.value.is_zero)
+        for d in to_dnf(t.guard)
+    )
 
 
 # Size metrics ---------------------------------------------------------------

@@ -16,7 +16,7 @@ here: they are both terms and values.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -372,14 +372,22 @@ def fvars_expr(e: ExtLinExpr) -> set[str]:
     return e.fvars()
 
 
+def atoms(phi: BoolExpr) -> Iterator[Atom]:
+    """The atoms of a guard, left to right, repeats kept.  The walk keeps
+    an explicit stack, so a guard nested past the recursion limit is fine."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            yield node
+        elif isinstance(node, Not):
+            stack.append(node.arg)
+        elif isinstance(node, (And, Or)):
+            stack.extend(reversed(node.args))
+
+
 def fvars_bool(phi: BoolExpr) -> set[str]:
-    if isinstance(phi, Atom):
-        return fvars_expr(phi.lhs) | fvars_expr(phi.rhs)
-    if isinstance(phi, Not):
-        return fvars_bool(phi.arg)
-    if isinstance(phi, (And, Or)):
-        return set().union(*(fvars_bool(arg) for arg in phi.args))
-    return set()
+    return {v for a in atoms(phi) for side in (a.lhs, a.rhs) for v in fvars_expr(side)}
 
 
 def fvars_body(body: Iterable[GuardedTerm]) -> set[str]:
@@ -404,10 +412,4 @@ def lin_eval(valuation: Valuation, e: ExtLinExpr) -> ExtRat:
 
 def count_atoms(phi: BoolExpr) -> int:
     """Number of (not necessarily distinct) atoms in a guard."""
-    if isinstance(phi, Atom):
-        return 1
-    if isinstance(phi, Not):
-        return count_atoms(phi.arg)
-    if isinstance(phi, (And, Or)):
-        return sum(count_atoms(arg) for arg in phi.args)
-    return 0
+    return sum(1 for _ in atoms(phi))

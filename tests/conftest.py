@@ -24,7 +24,7 @@ from linquant import (
     check_well_formed,
     parse_quantity,
 )
-from linquant.terms import And, Not, Or
+from linquant.terms import And, Not, Or, TrueExpr
 from linquant.logic import _row, atom_eval
 
 EX1_TEXT = "sup x : [y1 >= z -> (x - 2 < y1 && -x >= y3 && x >= y2)] * (2*x + z)"
@@ -193,6 +193,25 @@ def is_antichain(disjuncts) -> bool:
     """No two disjuncts share an atom set and none's set contains another's."""
     sets = [frozenset(d) for d in disjuncts]
     return len(set(sets)) == len(sets) and not any(a < b for a in sets for b in sets)
+
+
+def dnf_split(guard):
+    """Disjuncts of an Or-chain of And-chains of atoms (``true`` is the
+    empty conjunction); None for any other shape, an ``Or`` directly
+    inside an ``Or`` included."""
+
+    def conj(node):
+        if isinstance(node, Atom):
+            return (node,)
+        if isinstance(node, And):
+            parts = [conj(arg) for arg in node.args]
+            return None if None in parts else sum(parts, ())
+        return None
+
+    if isinstance(guard, TrueExpr):
+        return [()]
+    parts = [conj(arg) for arg in guard.args] if isinstance(guard, Or) else [conj(guard)]
+    return None if None in parts else parts
 
 
 def has_parallel_atoms(d) -> bool:

@@ -157,11 +157,13 @@ class TestEval:
         assert code == 3
         assert "missing binding" in err
 
-    def test_bad_sigma_value(self, files, capsys):
+    @pytest.mark.parametrize("sigma", ["x=abc", "=3", "x=1,x=2"])
+    def test_bad_sigma_value(self, files, capsys, sigma):
+        # an empty name or a name bound twice is a bad binding, like a bad value
         path = files("qf.lq", "[x > 0] * 1")
-        code, _, err = run(capsys, "eval", path, "--sigma", "x=abc")
+        code, _, err = run(capsys, "eval", path, "--sigma", sigma)
         assert code == 1
-        assert err.startswith("parse error") and "x=abc" in err
+        assert err.startswith("parse error") and sigma.split(",")[-1] in err
 
     def test_rational_output(self, files, capsys):
         path = files("qf.lq", "[true] * (5/3)")

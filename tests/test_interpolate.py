@@ -27,11 +27,12 @@ from linquant import (
     weakest_interpolant,
 )
 from linquant import interpolate
+from linquant.logic import reduce_disjunct
 from linquant.normalform import cells
 from linquant.parser import parse_quantity
 from linquant.terms import Atom, GuardedTerm, Rel, Valuation, fvars_body
 
-from conftest import entailing_pair, quantifier_free, val
+from conftest import dnf_split, entailing_pair, is_antichain, quantifier_free, val
 
 
 class TestEntails:
@@ -309,6 +310,12 @@ class TestSandwich:
             assert entails(f, s) is None
             assert entails(s, w) is None
             assert entails(w, g) is None
+            # every guard is a flat DNF of reduced disjuncts, none absorbing another
+            for term in s.body + w.body:
+                disjuncts = dnf_split(term.guard)
+                assert disjuncts is not None, term.guard
+                assert is_antichain(disjuncts), term.guard
+                assert all(reduce_disjunct(d) == d for d in disjuncts), term.guard
 
     def test_strongest_entails_generated_candidates(self):
         # candidates = strongest + nonnegative constants over shared variables

@@ -50,17 +50,15 @@ from linquant.printer import print_quantity
 from linquant.terms import (
     FALSE,
     TRUE,
-    And,
     Atom,
     GuardedTerm,
-    Or,
     Rel,
     TrueExpr,
     Valuation,
     fvars_body,
 )
 
-from conftest import atom, has_parallel_atoms, is_antichain, lin, quantifier_free, val
+from conftest import atom, dnf_split, has_parallel_atoms, is_antichain, lin, quantifier_free, val
 
 # the bounded disjunct of the running example: x < y1+2, x <= -y3, x >= y2
 D_BOUNDED = Disjunct(
@@ -294,25 +292,6 @@ class TestEliminateOverDisjunct:
         out = eliminate_over_disjunct(Quant.SUP, D_BOUNDED, lin(0, x=2, z=1), "x")
         assert "x" not in fvars_body(out)
         assert is_partitioning(out)
-
-
-def dnf_split(guard):
-    """Disjuncts of an Or-chain of And-chains of atoms (``true`` is the
-    empty conjunction); None for any other shape."""
-    if isinstance(guard, Or):
-        parts = [dnf_split(arg) for arg in guard.args]
-        return None if None in parts else [d for part in parts for d in part]
-
-    def conj(node):
-        if isinstance(node, Atom):
-            return (node,)
-        if isinstance(node, And):
-            parts = [conj(arg) for arg in node.args]
-            return None if None in parts else sum(parts, ())
-        return None
-
-    atoms = () if isinstance(guard, TrueExpr) else conj(guard)
-    return None if atoms is None else [Disjunct(atoms)]
 
 
 class TestPointwiseMaxMin:

@@ -13,12 +13,14 @@ from linquant import (
     OO,
     Atom,
     GenParams,
+    GuardedTerm,
     InfExpr,
     LinExpr,
     MissingVariable,
     NonLinearError,
     ParseError,
     Quant,
+    Quantity,
     Rel,
     free_vars,
     lin_eval,
@@ -28,8 +30,9 @@ from linquant import (
     quantity_to_json,
     random_quantity,
 )
+from linquant.oracle import sample_pool
 from linquant.printer import print_bool
-from linquant.terms import And, Not, Or, TrueExpr
+from linquant.terms import And, Not, Or, TrueExpr, count_atoms, fvars_bool
 
 from conftest import EX1_TEXT, WIDE_OR_TEXT, lin, quantifier_free, val
 
@@ -207,7 +210,8 @@ class TestPrint:
 
     def test_deep_guards_hash(self, default_recursion_limit):
         # each node hashes from its arguments' cached hashes, so hashing a
-        # guard nested past the recursion limit does not recurse
+        # guard nested past the recursion limit does not recurse; nor do
+        # the walks over its atoms (``terms.atoms``)
         b = Atom(LinExpr.var("x"), Rel.GT, LinExpr.const(0))
         negations, alternating = b, b
         for _ in range(5_000):
@@ -217,6 +221,14 @@ class TestPrint:
             hash(alternating)
         assert hash(Not(b)) == hash(Not(b)) and Not(b) == Not(b)
         assert hash(Or(b, And(b, b))) == hash(Or(b, And(b, b)))
+
+        def pool(guard):
+            return sample_pool(Quantity((), (GuardedTerm(guard, LinExpr.const(2)),)))
+
+        for guard, count in ((negations, 1), (alternating, 10_001)):
+            assert fvars_bool(guard) == {"x"}
+            assert count_atoms(guard) == count
+            assert pool(guard) == pool(b)
 
     def test_json_round_trip(self, ex1):
         assert quantity_from_json(quantity_to_json(ex1)) == ex1
