@@ -1,23 +1,33 @@
 """Boolean-level algorithms over linear-inequality atoms.
 
+Inside the engine each inequality is one atom.  :func:`fold_atom` compiles
+an atom once into a row ``k*(dir.x) + c (<|<=) 0`` whose direction ``dir``
+is a primitive integer vector, and returns the one interned atom of that
+row: ``x < 1``, ``-x > -1`` and ``2*x < 2`` fold to the same object.  Its
+printed form is a function of the row alone (its first variable in name
+order isolated, e.g. ``y1 > y2 - 2``), and it carries its row and the
+interned atom of the complement row in slots, which :func:`conjoin`,
+:func:`negate_atom` and Fourier-Motzkin read (after Dutertre & de Moura
+2006, who canonicalise each linear form once).
+
 Satisfiability of a conjunction of atoms is decided exactly by iterated
-Fourier-Motzkin elimination over integer rows.  Each atom is folded and
-compiled once into a row ``k*(dir.x) + c (<|<=) 0`` whose direction ``dir``
-is a primitive integer vector; a system keeps one row per direction, the
-tightest of any parallel rows (strict wins a tie).  Eliminating a variable
-pairs each of its lower rows with each upper row under integer multipliers
-that cancel it; a variable-free row decides the system at once.  All
-arithmetic is on Python integers, so no verdict is approximate.  A
-satisfying valuation is read back by reversing the elimination order and
-picking a point inside each residual interval, computed with exact
-rationals from the rows of that stage.
+Fourier-Motzkin elimination over the integer rows, cached on the set of
+rows.  A system keeps one row per direction, the tightest of any parallel
+rows (strict wins a tie).  Eliminating a variable pairs each of its lower
+rows with each upper row under integer multipliers that cancel it; a
+variable-free row decides the system at once.  All arithmetic is on
+Python integers, so no verdict is approximate.  A satisfying valuation is
+read back by reversing the elimination order and picking a point inside
+each residual interval, computed with exact rationals from the rows of
+that stage.
 
 A guard becomes disjuncts in one place, :func:`to_dnf`, through one walk,
-``_dnf``, that pushes negation inward as it goes and iterates the
-arguments of each n-ary ``And``/``Or``.  A disjunct is a tuple of atoms.
-Every layer that builds disjuncts extends one with :func:`conjoin`, which
-keeps one atom per row direction, the tightest, by the rule a system keeps
-for its rows; no other code above Fourier-Motzkin compares parallel atoms.
+``_dnf``, that pushes negation inward as it goes and walks the arguments
+of each n-ary ``And``/``Or`` from an explicit stack.  A disjunct is a
+tuple of atoms.  Every layer that builds disjuncts extends one with
+:func:`conjoin`, which keeps one atom per row direction, the tightest, by
+the rule a system keeps for its rows; no other code above Fourier-Motzkin
+compares parallel atoms.
 Every DNF, :func:`to_dnf`'s, the cell walk's :func:`refine_dnf` states,
 the guarded normal form and the guards of merged terms, is kept minimal by
 one rule, :func:`absorb`: no disjunct's atoms include all of another's
@@ -44,6 +54,7 @@ from .terms import (
     LinExpr,
     Not,
     Or,
+    Rel,
     TrueExpr,
     Valuation,
     and_all,
@@ -88,34 +99,39 @@ def bool_eval(valuation: Valuation, phi: BoolExpr, _atom_cache: dict | None = No
 
 
 def negate_atom(atom: Atom) -> Atom:
-    """Complement the relation over the total order (e.g. not (a < b) is a >= b)."""
-    return Atom(atom.lhs, atom.rel.negated, atom.rhs)
+    """The complement over the total order (e.g. not (a < b) is a >= b).
+
+    An interned atom's complement is the interned atom in its ``neg`` slot,
+    so ``negate_atom(negate_atom(a)) is a``; any other atom gets its
+    relation negated.
+    """
+    return atom.neg or Atom(atom.lhs, atom.rel.negated, atom.rhs)
 
 
 @lru_cache(maxsize=1 << 16)
 def fold_atom(atom: Atom) -> Atom | TrueExpr | FalseExpr:
-    """Replace decidable atoms by their truth value.
+    """The truth value of a decidable atom, else the one atom of its row.
 
-    An atom folds when either side is infinite (finite expressions always
+    An atom decides when either side is infinite (finite expressions always
     evaluate strictly between -oo and oo) or when the two sides differ by a
-    constant.  Anything else is returned unchanged.
+    constant.  Every other atom is equivalent to a row with a variable (see
+    :func:`_compile`), and all forms of one row fold to the same interned
+    atom (:func:`_intern`), printed ``v rel bound`` for the row's first
+    variable ``v`` in name order.  The cache maps each form seen to it.
     """
-    lhs, rel, rhs = atom.lhs, atom.rel, atom.rhs
-    if isinstance(lhs, InfExpr) or isinstance(rhs, InfExpr):
-        # ext_cmp orders the sides by sign alone (a finite side counts as
-        # sign 0), so it never compares a finite expression here
-        return TRUE if rel.holds(ext_cmp(lhs, rhs)) else FALSE
-    diff = lhs - rhs
-    if diff.is_constant:
-        cmp = (diff.constant > 0) - (diff.constant < 0)
-        return TRUE if rel.holds(cmp) else FALSE
-    return atom
+    row = atom.row or _compile(atom)
+    if row is _TRUE_ROW:
+        return TRUE
+    if row is _FALSE_ROW:
+        return FALSE
+    return _ATOMS.get(row) or _intern(row)
 
 
 @lru_cache(maxsize=1 << 16)
 def isolate(atom: Atom, var: str) -> Atom:
     """Rewrite a folded atom (two finite sides, as every :func:`to_dnf`
-    atom has) mentioning ``var`` into the shape ``var rel bound``.
+    atom has) mentioning ``var`` into the shape ``var rel bound``, on the
+    same row; an interned atom is in that shape for its first variable.
 
     The bound never mentions ``var``; the relation flips when the collected
     coefficient is negative and division is exact.  Atoms not mentioning
@@ -150,23 +166,23 @@ def is_isolated_in(atom: Atom, var: str) -> bool:
 def conjoin(d: Disjunct, atoms) -> Disjunct:
     """The disjunct ``d`` extended by ``atoms``, one atom per direction.
 
-    Of atoms whose rows share a direction (see :func:`_row`) only the
-    tightest stays, in the position of the first of them; an equally tight
-    one keeps the first.  This is the rule a Fourier-Motzkin system keeps
-    for its rows, so the result is equivalent to the plain conjunction.
-    Atoms that fold are kept once each.
+    Of atoms whose rows (their ``row`` slots, see :func:`_compile`) share
+    a direction only the tightest stays, in the position of the first of
+    them; an equally tight one keeps the first.  This is the rule a
+    Fourier-Motzkin system keeps for its rows, so the result is equivalent
+    to the plain conjunction.  Decidable atoms share the empty direction,
+    so of those a false one stays.
     """
-    kept: dict = {}  # direction (or a folding atom) -> (position, row)
+    kept: dict = {}  # direction -> (position, row)
     out: list[Atom] = []
     for atom in (*d, *atoms):
-        row = _row(atom)
-        key = row[0] if isinstance(row, tuple) else atom
-        old = kept.get(key)
+        row = atom.row or _compile(atom)
+        old = kept.get(row[0])
         if old is None:
-            kept[key] = len(out), row
+            kept[row[0]] = len(out), row
             out.append(atom)
-        elif isinstance(row, tuple) and not _covers(old[1][1:], *row[1:]):
-            kept[key] = old[0], row
+        elif not _covers(old[1], row):
+            kept[row[0]] = old[0], row
             out[old[0]] = atom
     return tuple(out)
 
@@ -203,40 +219,60 @@ def absorb(disjuncts) -> list[Disjunct]:
 def _dnf(phi: BoolExpr, positive: bool) -> list[Disjunct]:
     """Disjuncts of ``phi`` (of its negation when not ``positive``).
 
-    Negation is pushed inward as the walk goes, atoms come folded and each
-    disjunct keeps one atom per direction (see :func:`conjoin`).  A
-    conjunction's product is checked for satisfiability after each factor
-    with more than one disjunct and once at the end, so a conjunction of
-    atoms costs one check and one pass over its atoms; each product is
-    absorbed first.  A disjunction's parts are concatenated, repeats
-    included.  Chains are iterated; only nesting recurses.
+    Negation is pushed inward as the walk goes, atoms come folded (an
+    atom's negation is its interned complement) and each disjunct keeps
+    one atom per direction (see :func:`conjoin`).  A conjunction's product
+    is checked for satisfiability after each factor with more than one
+    disjunct and once at the end, so a conjunction of atoms costs one check
+    and one pass over its atoms; each product is absorbed first.  A
+    disjunction's parts are concatenated, repeats included.  The walk keeps
+    an explicit stack of open connectives, so nesting past the recursion
+    limit is fine.
     """
-    if isinstance(phi, Atom):
-        atom = fold_atom(phi if positive else negate_atom(phi))
-        if atom is TRUE:
-            return [()]
-        return [] if atom is FALSE else [(atom,)]
-    if isinstance(phi, Not):
-        return _dnf(phi.arg, not positive)
-    if isinstance(phi, (TrueExpr, FalseExpr)):
-        return [()] if isinstance(phi, TrueExpr) == positive else []
-    if not isinstance(phi, (And, Or)):
-        raise TypeError(f"not a Boolean expression: {phi!r}")
-    if isinstance(phi, Or) == positive:
-        return [d for arg in phi.args for d in _dnf(arg, positive)]
-    product: list[Disjunct] = [()]
-    pending: list[Atom] = []  # atoms of one-disjunct factors, conjoined in one go
-    for arg in phi.args:
-        factor = _dnf(arg, positive)
-        if len(factor) == 1:
-            pending += factor[0]
+    # per open connective: [args, next arg, positive, is a disjunction, DNF so far, pending]
+    open_: list[list] = []
+    while True:
+        while isinstance(phi, Not):
+            phi, positive = phi.arg, not positive
+        if isinstance(phi, (And, Or)):
+            disjunction = isinstance(phi, Or) == positive
+            open_.append([phi.args, 1, positive, disjunction, [] if disjunction else [()], []])
+            phi = phi.args[0]
             continue
-        product = absorb(conjoin(p, (*pending, *d)) for p in product for d in factor)
-        product = [p for p in product if disjunct_sat(p)]
-        if not product:
-            return product
-        pending = []
-    return refine_dnf(product, [pending]) if pending else product
+        if isinstance(phi, Atom):
+            folded = fold_atom(phi)
+            if folded is TRUE or folded is FALSE:
+                value = [()] if (folded is TRUE) == positive else []
+            else:
+                value = [(folded if positive else folded.neg,)]
+        elif isinstance(phi, (TrueExpr, FalseExpr)):
+            value = [()] if isinstance(phi, TrueExpr) == positive else []
+        else:
+            raise TypeError(f"not a Boolean expression: {phi!r}")
+        # hand the value up until a connective has an argument left to walk
+        while open_:
+            frame = open_[-1]
+            args, k, frame_positive, disjunction, acc, pending = frame
+            if disjunction:
+                acc += value
+            elif len(value) == 1:
+                pending += value[0]  # atoms of one-disjunct factors, conjoined in one go
+            else:
+                acc = absorb(conjoin(p, (*pending, *d)) for p in acc for d in value)
+                acc = frame[4] = [p for p in acc if disjunct_sat(p)]
+                pending.clear()
+                if not acc:  # an unsatisfiable conjunction: its other factors are not walked
+                    open_.pop()
+                    value = acc
+                    continue
+            if k < len(args):
+                frame[1] = k + 1
+                phi, positive = args[k], frame_positive
+                break
+            open_.pop()
+            value = refine_dnf(acc, [pending]) if pending else acc
+        else:
+            return value
 
 
 @lru_cache(maxsize=1 << 14)
@@ -289,32 +325,66 @@ def refine_dnf(state: list[Disjunct], branches) -> list[Disjunct]:
 
 # Fourier-Motzkin satisfiability ------------------------------------------
 
+# The rows of decidable atoms: true reads -1 <= 0, false 1 <= 0.
+_TRUE_ROW = ((), 1, -1, False)
+_FALSE_ROW = ((), 1, 1, False)
 
-@lru_cache(maxsize=1 << 16)
-def _row(atom: Atom):
-    """Compile an atom to the row ``(dir, k, c, strict)``, or TRUE/FALSE.
+# Each row with a variable -> its one interned atom.  A row and its
+# complement are interned together and never dropped: a process sees a few
+# thousand rows where it sees tens of thousands of disjuncts.
+_ATOMS: dict[tuple, Atom] = {}
+
+
+def _compile(atom: Atom) -> tuple:
+    """The atom's row ``(dir, k, c, strict)``, stored in its ``row`` slot.
 
     The row reads ``k*(dir.x) + c < 0`` (``<= 0`` unless strict): ``dir`` is
     a name-sorted tuple of ``(var, int)`` with coprime entries, ``k > 0``
     and ``gcd(k, c) == 1``, so parallel atoms share ``dir`` and an atom's
-    bound on ``dir.x`` is ``-c/k``.  Atoms that fold become TRUE or FALSE.
+    bound on ``dir.x`` is ``-c/k``.  A decidable atom's row is
+    ``_TRUE_ROW`` or ``_FALSE_ROW``, whose ``dir`` is empty.
     """
-    folded = fold_atom(atom)
-    if folded is TRUE or folded is FALSE:
-        return folded
-    diff = folded.lhs - folded.rhs  # folded atoms have two finite sides
-    if not folded.rel.is_upper:
-        diff = -diff
-    scale = lcm(diff.constant.denominator, *(q.denominator for q in diff.coeffs.values()))
-    coeffs = {v: q.numerator * (scale // q.denominator) for v, q in diff.coeffs.items()}
-    const = diff.constant.numerator * (scale // diff.constant.denominator)
-    return _normalize(coeffs, const, folded.rel.is_strict)
+    lhs, rel, rhs = atom.lhs, atom.rel, atom.rhs
+    if isinstance(lhs, InfExpr) or isinstance(rhs, InfExpr):
+        # ext_cmp orders the sides by sign alone (a finite side counts as
+        # sign 0), so it never compares a finite expression here
+        row = _TRUE_ROW if rel.holds(ext_cmp(lhs, rhs)) else _FALSE_ROW
+    else:
+        diff = lhs - rhs if rel.is_upper else rhs - lhs
+        scale = lcm(diff.constant.denominator, *(q.denominator for q in diff.coeffs.values()))
+        coeffs = {v: q.numerator * (scale // q.denominator) for v, q in diff.coeffs.items()}
+        const = diff.constant.numerator * (scale // diff.constant.denominator)
+        row = _normalize(coeffs, const, rel.is_strict)
+    atom.row = row
+    return row
 
 
-def _normalize(coeffs: dict[str, int], const: int, strict: bool):
-    """The row of ``coeffs.x + const (<|<=) 0``; TRUE/FALSE when variable-free."""
+def _intern(row: tuple) -> Atom:
+    """The interned atom of a row with a variable, made together with the
+    interned atom of its complement row; each is the other's ``neg``."""
+    d, k, c, strict = row
+    comp = (tuple((v, -a) for v, a in d), k, -c, not strict)
+    atom, neg = _row_atom(row), _row_atom(comp)
+    atom.row, atom.neg, neg.row, neg.neg = row, neg, comp, atom
+    _ATOMS[row], _ATOMS[comp] = atom, neg
+    return atom
+
+
+def _row_atom(row: tuple) -> Atom:
+    """The printed form of a row: its first variable ``v`` in name order
+    isolated, ``v rel bound``, the bound free of ``v``."""
+    d, k, c, strict = row
+    (v, a), rest = d[0], d[1:]
+    # k*(a*v + rest.x) + c < 0 reads a*v < -(rest.x) - c/k
+    bound = LinExpr._raw(Fraction(-c, k * a), {u: Fraction(-b, a) for u, b in rest})
+    rel = (Rel.LT if strict else Rel.LE) if a > 0 else (Rel.GT if strict else Rel.GE)
+    return Atom(LinExpr.var(v), rel, bound)
+
+
+def _normalize(coeffs: dict[str, int], const: int, strict: bool) -> tuple:
+    """The row of ``coeffs.x + const (<|<=) 0``."""
     if not coeffs:
-        return TRUE if const < 0 or (const == 0 and not strict) else FALSE
+        return _TRUE_ROW if const < 0 or (const == 0 and not strict) else _FALSE_ROW
     if len(coeffs) == 1:
         ((v, a),) = coeffs.items()
         k = abs(a)
@@ -325,37 +395,36 @@ def _normalize(coeffs: dict[str, int], const: int, strict: bool):
     return tuple(sorted((v, a // k) for v, a in coeffs.items())), k // h, const // h, strict
 
 
-def _covers(old: tuple, k: int, c: int, strict: bool) -> bool:
-    """Whether the row ``old`` = ``(k0, c0, s0)`` on a direction is at least
-    as tight as ``(k, c, strict)`` on the same direction."""
-    k0, c0, s0 = old
+def _covers(old: tuple, new: tuple) -> bool:
+    """Whether row ``old`` is at least as tight as row ``new`` on the same direction."""
+    _, k0, c0, s0 = old
+    _, k, c, strict = new
     # bounds -c/k on the same dir.x: the larger c/k is the tighter
-    new, kept = c * k0, c0 * k
-    return new < kept or (new == kept and (s0 or not strict))
+    b_new, b_old = c * k0, c0 * k
+    return b_new < b_old or (b_new == b_old and (s0 or not strict))
 
 
-def _insert(system: dict, d: tuple, k: int, c: int, strict: bool) -> None:
+def _insert(system: dict, row: tuple) -> None:
     """Add a row, keeping only the tightest of rows parallel to it."""
-    old = system.get(d)
-    if old is None or not _covers(old, k, c, strict):
-        system[d] = (k, c, strict)
+    old = system.get(row[0])
+    if old is None or not _covers(old, row):
+        system[row[0]] = row
 
 
-def _system(atoms):
-    """The rows of a conjunction keyed by direction, and the variables of
-    its atoms that do not fold to true; None if an atom folds to false."""
+def _system(rows) -> dict | None:
+    """A conjunction's rows keyed by direction, the tightest of parallel
+    ones; None if one of them is false."""
     system: dict = {}
-    variables: set[str] = set()
-    for atom in atoms:
-        row = _row(atom)
-        if row is TRUE:
-            continue
-        if row is FALSE:
+    for row in rows:
+        if row is _FALSE_ROW:
             return None
-        _insert(system, *row)
-        # fold_atom returns an unfolded atom itself, with two finite sides
-        variables.update(atom.lhs.coeffs, atom.rhs.coeffs)
-    return system, variables
+        if row is not _TRUE_ROW:
+            _insert(system, row)
+    return system
+
+
+def _variables(system: dict) -> list[str]:
+    return sorted({v for d in system for v, _ in d})
 
 
 def _fm_step(system: dict, var: str):
@@ -363,8 +432,7 @@ def _fm_step(system: dict, var: str):
     system in name order, so it leads each ``dir`` that mentions it.
 
     Returns ``(residue, lowers, uppers)`` where the bounds are the rows on
-    ``var`` as ``(dir, (k, c, strict))``; ``residue`` is None when a
-    variable-free combination is false.
+    ``var``; ``residue`` is None when a variable-free combination is false.
     """
     lowers, uppers, residue = [], [], {}
     for d, row in system.items():
@@ -372,12 +440,12 @@ def _fm_step(system: dict, var: str):
         if lead != var:
             residue[d] = row
         elif a > 0:
-            uppers.append((d, row))
+            uppers.append(row)
         else:
-            lowers.append((d, row))
-    for dl, (kl, cl, sl) in lowers:
+            lowers.append(row)
+    for dl, kl, cl, sl in lowers:
         al = -dl[0][1]
-        for du, (ku, cu, su) in uppers:
+        for du, ku, cu, su in uppers:
             au = du[0][1]
             g = gcd(al, au)
             # ku*au/g * (lower row) + kl*al/g * (upper row) cancels var
@@ -391,20 +459,19 @@ def _fm_step(system: dict, var: str):
                 else:
                     del coeffs[v]
             row = _normalize(coeffs, ml * cl + mu * cu, sl or su)
-            if row is FALSE:
+            if row is _FALSE_ROW:
                 return None, lowers, uppers
-            if row is not TRUE:
-                _insert(residue, *row)
+            if row is not _TRUE_ROW:
+                _insert(residue, row)
     return residue, lowers, uppers
 
 
 @lru_cache(maxsize=1 << 16)
-def _sat_cached(atom_key: frozenset) -> bool:
-    compiled = _system(atom_key)
-    if compiled is None:
+def _sat_cached(rows: frozenset) -> bool:
+    system = _system(rows)
+    if system is None:
         return False
-    system, variables = compiled
-    for var in sorted(variables):
+    for var in _variables(system):
         if not system:
             return True
         system = _fm_step(system, var)[0]
@@ -414,8 +481,12 @@ def _sat_cached(atom_key: frozenset) -> bool:
 
 
 def disjunct_sat(d: Disjunct) -> bool:
-    """Decide whether some valuation satisfies every atom of the disjunct."""
-    return _sat_cached(frozenset(d))
+    """Decide whether some valuation satisfies every atom of the disjunct.
+
+    The verdict is cached on the set of the atoms' rows, so every form of
+    one conjunction of inequalities shares it.
+    """
+    return _sat_cached(frozenset([a.row or _compile(a) for a in d]))
 
 
 def bool_sat(phi: BoolExpr) -> bool:
@@ -428,14 +499,14 @@ def fm_witness(d: Disjunct, extra_vars=()) -> Valuation | None:
 
     Variables are eliminated in name order; back-substitution picks the
     midpoint of each residual interval, bound +/- 1 when one-sided, and 0
-    when unconstrained.  ``extra_vars`` are included (defaulting to 0).
+    when unconstrained; so do the disjunct's variables that no row bounds
+    and ``extra_vars``.
     """
-    compiled = _system(d)
-    if compiled is None:
+    system = _system([a.row or _compile(a) for a in d])
+    if system is None:
         return None
-    system, variables = compiled
     stages = []
-    for var in sorted(variables):
+    for var in _variables(system):
         system, lowers, uppers = _fm_step(system, var)
         if system is None:
             return None
@@ -457,9 +528,9 @@ def fm_witness(d: Disjunct, extra_vars=()) -> Valuation | None:
             assert lo < hi, "inverted interval after FM"
             pick = (lo + hi) / 2
         values[var] = pick
-    for var in extra_vars:
-        if var not in values:
-            values[var] = Fraction(0)
+    unbounded = sorted({v for a in d for side in (a.lhs, a.rhs) for v in fvars_expr(side)})
+    for var in (*extra_vars, *unbounded):
+        values.setdefault(var, Fraction(0))
     return Valuation(values)
 
 
@@ -470,7 +541,7 @@ def _tightest(rows, values: dict[str, Fraction], pick):
     A row ``k*(a*var + rest) + c`` bounds ``var`` by ``-(rest + c/k)/a``.
     """
     bounds = []
-    for d, (k, c, strict) in rows:
+    for d, k, c, strict in rows:
         rest = sum((a * values[v] for v, a in d[1:]), Fraction(c, k))
         bounds.append((-rest / d[0][1], strict))
     if not bounds:

@@ -199,7 +199,10 @@ def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     eliminations from multiplying.  Isolation keeps each atom equivalent,
     unfoldable and on its row, so a disjunct stays satisfiable, reduced
     and one atom per row direction, and needs no
-    :func:`~linquant.logic.conjoin`.
+    :func:`~linquant.logic.conjoin`.  An isolated atom is a printed form
+    for this output only: it folds back to its row's interned atom
+    (:func:`~linquant.logic.fold_atom`), and an atom without ``var`` stays
+    the interned one.
     """
     disjuncts = [tuple(isolate(a, var) for a in reduce_disjunct(d)) for d in to_dnf(guard)]
     return dnf_to_bool(absorb(disjuncts))

@@ -3,9 +3,10 @@
 One quantifier is eliminated per round, innermost first.  A round works on
 the guarded-normal-form body in three layers:
 
-* per summand, split the DNF guard into disjuncts; the normal form keeps
-  that DNF minimal (absorbed, see :func:`~linquant.logic.absorb`), so no
-  disjunct is eliminated whose atoms include all of another's;
+* per summand, split the DNF guard into disjuncts, isolating the variable
+  in their atoms again; the normal form keeps that DNF minimal (absorbed,
+  see :func:`~linquant.logic.absorb`), so no disjunct is eliminated whose
+  atoms include all of another's;
 * per disjunct, build a quantifier-free equivalent from the bounds the
   disjunct imposes on the variable: a feasibility constraint (the
   Fourier-Motzkin residue), and each distinct bound that is the least upper
@@ -39,6 +40,7 @@ from .logic import (
     dnf_to_bool,
     fold_atom,
     is_isolated_in,
+    isolate,
     negate_atom,
     reduce_disjunct,
     refine_dnf,
@@ -313,8 +315,15 @@ def merge_equal_values(body: Body) -> Body:
 
 
 def eliminate_var(quant: Quant, var: str, body: Body) -> Body:
-    """One elimination round over a body already in GNF w.r.t. ``var``."""
-    tasks = [(d, term.value) for term in body for d in to_dnf(term.guard)]
+    """One elimination round over a body already in GNF w.r.t. ``var``.
+
+    A guard's disjuncts come back from :func:`~linquant.logic.to_dnf` as
+    interned atoms, so their atoms are isolated in ``var`` again."""
+    tasks = [
+        (tuple(isolate(a, var) for a in d), term.value)
+        for term in body
+        for d in to_dnf(term.guard)
+    ]
     if not tasks:
         return (ZERO_TERM,)
     sub_bodies = [eliminate_over_disjunct(quant, d, v, var) for d, v in tasks]
@@ -330,8 +339,9 @@ def eliminate(q: Quantity, *, simplify: bool = False) -> Quantity:
 
     Bodies between rounds stay partitioning; terms with equal values are
     merged between rounds to curb growth.  Combination and merging emit
-    every guard as a minimal DNF, which the next round still splits again
-    through :func:`~linquant.logic.to_dnf`, in its normal form and in
+    every guard as a minimal DNF of interned atoms, one per inequality,
+    which the next round still splits again through
+    :func:`~linquant.logic.to_dnf`, in its normal form and in
     :func:`eliminate_var`.  The optional ``simplify`` pass additionally
     drops zero-valued and unsatisfiable terms from the final result (still
     semantics-preserving, but no longer partitioning); a quantifier-free

@@ -195,15 +195,23 @@ _FLIPPED = {Rel.LT: Rel.GT, Rel.GT: Rel.LT, Rel.LE: Rel.GE, Rel.GE: Rel.LE}
 
 
 class Atom:
-    """A linear inequality between two extended linear expressions."""
+    """A linear inequality between two extended linear expressions.
 
-    __slots__ = ("lhs", "rel", "rhs", "_hash")
+    ``row`` and ``neg`` are filled by :mod:`linquant.logic`: ``row`` is the
+    atom's compiled row (see :func:`~linquant.logic.fold_atom`), and ``neg``
+    is set only on the engine's one interned atom per row, to the interned
+    atom of the complement row.
+    """
+
+    __slots__ = ("lhs", "rel", "rhs", "_hash", "row", "neg")
 
     def __init__(self, lhs: ExtLinExpr, rel: Rel, rhs: ExtLinExpr):
         self.lhs = lhs
         self.rel = rel
         self.rhs = rhs
         self._hash: int | None = None
+        self.row: tuple | None = None
+        self.neg: Atom | None = None
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -25,7 +25,7 @@ from linquant import (
     parse_quantity,
 )
 from linquant.terms import And, Not, Or, TrueExpr
-from linquant.logic import _row, atom_eval
+from linquant.logic import atom_eval, fold_atom
 
 EX1_TEXT = "sup x : [y1 >= z -> (x - 2 < y1 && -x >= y3 && x >= y2)] * (2*x + z)"
 
@@ -215,8 +215,9 @@ def dnf_split(guard):
 
 
 def has_parallel_atoms(d) -> bool:
-    """Whether two atoms of ``d`` share a row direction (see ``logic._row``)."""
-    directions = [row[0] for row in map(_row, d) if isinstance(row, tuple)]
+    """Whether two atoms of ``d`` that do not fold share a row direction
+    (see ``logic.fold_atom``)."""
+    directions = [f.row[0] for f in map(fold_atom, d) if isinstance(f, Atom)]
     return len(directions) != len(set(directions))
 
 

@@ -97,15 +97,23 @@ class TestElim:
         assert err.count("\n") == 1
 
     def test_too_deep_for_engine_exit_code(self, files, capsys):
-        # parses (one parser frame per ->) but the engine's walks over the
-        # right-nested implications exceed the CLI's recursion limit
+        # parses (one parser frame per ->) but evaluating the right-nested
+        # implications, each false antecedent at x = 10, exceeds the CLI's
+        # recursion limit
         chain = " -> ".join(f"x > {i % 7}" for i in range(15_000))
         limit = sys.getrecursionlimit()
-        code, out, err = run(capsys, "elim", files("chain.lq", f"sup x : [{chain}] * 1"))
+        code, out, err = run(capsys, "eval", files("chain.lq", f"[{chain}] * 1"), "--sigma", "x=10")
         assert code == 1
         assert out == ""
         assert err.startswith("too deep:") and err.count("\n") == 1
         assert sys.getrecursionlimit() == limit  # main restores the limit
+
+    def test_deep_implication_chain_eliminates(self, files, capsys):
+        # the DNF walk keeps an explicit stack, so elimination takes no
+        # frame per nesting level
+        chain = " -> ".join(f"x > {i % 7}" for i in range(15_000))
+        code, out, err = run(capsys, "elim", files("chain.lq", f"sup x : [{chain}] * 1"))
+        assert (code, out, err) == (0, "[true] * 1\n", "")
 
     def test_long_chain_eliminates(self, files, capsys):
         # a && chain is one flat node, so its length costs no recursion

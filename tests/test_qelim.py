@@ -1,9 +1,13 @@
 """The elimination engine: bounds, selectors, substitution, recombination."""
 
+import json
+import os
 import random
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,20 +45,25 @@ from linquant import (
     to_gnf,
     width,
 )
+import linquant
 from linquant.errors import NotIsolated, NotPartitioning, WellFormednessViolation
-from linquant.logic import atom_eval, bool_eval, disjunct_sat, reduce_disjunct
+from linquant.logic import atom_eval, bool_eval, disjunct_sat, fold_atom, negate_atom, reduce_disjunct
 from linquant.normalform import cells
 from linquant.oracle import random_valuation, sample_pool
 from linquant.parser import parse_body, parse_quantity
-from linquant.printer import print_quantity
+from linquant.printer import print_bool, print_quantity
 from linquant.terms import (
     FALSE,
     TRUE,
+    And,
     Atom,
     GuardedTerm,
+    Not,
+    Or,
     Rel,
     TrueExpr,
     Valuation,
+    atoms,
     fvars_body,
 )
 
@@ -99,7 +108,7 @@ class TestFeasibility:
         phi = feasibility(D_BOUNDED, "x")
         expected = {
             atom(lin(0, y2=1), "<=", lin(0, y3=-1)),
-            atom(lin(0, y2=1), "<", lin(2, y1=1)),
+            atom(lin(0, y1=1), ">", lin(-2, y2=1)),
         }
         assert _atoms_of(phi) == expected
 
@@ -141,7 +150,7 @@ class TestSelectors:
     def test_first_upper_of_running_example(self):
         bs = extract_bounds(D_BOUNDED, "x")
         # uppers are [y1+2, -y3, oo]; the oo comparison folds away
-        assert least_upper_selector(bs, 1) == atom(lin(2, y1=1), "<=", lin(0, y3=-1))
+        assert least_upper_selector(bs, 1) == atom(lin(0, y1=1), "<=", lin(-2, y3=-1))
 
     def test_single_real_upper_folds_true(self):
         # the only comparison is against the oo default, which folds away
@@ -159,7 +168,7 @@ class TestSelectors:
         d = Disjunct((atom(lin(0, x=1), "<=", lin(0, u=1)), atom(lin(0, x=1), "<=", lin(0, w=1))))
         bs = extract_bounds(d, "x")
         sel = least_upper_selector(bs, 2)
-        assert _atoms_of(sel) == {atom(lin(0, w=1), "<", lin(0, u=1))}
+        assert _atoms_of(sel) == {atom(lin(0, u=1), ">", lin(0, w=1))}
 
     def test_lower_selector_folds_true(self):
         bs = extract_bounds(Disjunct((atom(lin(0, x=1), ">=", lin(0, y2=1)),)), "x")
@@ -176,7 +185,7 @@ class TestSelectors:
         from linquant import BoundSets
 
         bs = BoundSets((), (OO,), (lin(0),), (lin(0), lin(-2, y=2), NEG_OO))
-        assert greatest_lower_selector(bs, 3) == atom(lin(-2, y=2), ">", 0)
+        assert greatest_lower_selector(bs, 3) == atom(lin(0, y=1), ">", 1)
 
     def test_index_out_of_range(self):
         bs = extract_bounds(D_BOUNDED, "x")
@@ -325,8 +334,8 @@ class TestPointwiseMaxMin:
         # the third body repeats the first one's value: it neither wins a
         # term of its own nor adds a non-strict twin of a strict tie atom
         bodies = [parse_body(t) for t in ("[true] * y", "[true] * z", "[true] * y")]
-        assert print_quantity(Quantity((), pointwise_max(bodies))) == "[y >= z] * y + [z > y] * z"
-        assert print_quantity(Quantity((), pointwise_min(bodies))) == "[y <= z] * y + [z < y] * z"
+        assert print_quantity(Quantity((), pointwise_max(bodies))) == "[y >= z] * y + [y < z] * z"
+        assert print_quantity(Quantity((), pointwise_min(bodies))) == "[y <= z] * y + [y > z] * z"
 
     def test_random_pointwise_agreement(self):
         rng = random.Random(314)
@@ -555,6 +564,82 @@ class TestEliminate:
             assert free_vars(out) <= free_vars(q)
             bound = {v for _, v in q.prefix}
             assert not (fvars_body(out.body) & bound)
+
+
+# One inequality is one interned atom, printed from its row alone.
+_ORDER_SCRIPT = """
+import json, sys
+from linquant import GenParams, eliminate, print_quantity, random_quantity
+single = GenParams(vars=3, summands=3, atoms_per_guard=3, coeff_bound=3,
+                   infinity_prob=0.1, quantifiers=1)
+nested = GenParams(vars=3, summands=3, atoms_per_guard=2, infinity_prob=0.1, quantifiers=2)
+corpus = [(single, 40_000 + k) for k in range(40)] + [(nested, 60_000 + k) for k in range(20)]
+order = list(range(len(corpus)))
+if sys.argv[1] == "reversed":
+    order.reverse()
+printed = {}
+for i in order:
+    params, seed = corpus[i]
+    printed[i] = print_quantity(eliminate(random_quantity(params, seed)))
+print(json.dumps([printed[i] for i in range(len(corpus))]))
+"""
+
+
+def _canonical_text(a: Atom) -> str:
+    """The atom's inequality with its first variable in name order isolated."""
+    diff = a.lhs - a.rhs  # a reads diff rel 0
+    v = min(diff.coeffs)
+    c = diff.coeff(v)
+    bound = diff.without(v).scale(Fraction(-1) / c)
+    return print_bool(Atom(LinExpr.var(v), a.rel if c > 0 else a.rel.flipped, bound))
+
+
+class TestInternedAtoms:
+    def test_outputs_print_the_canonical_form(self):
+        single = GenParams(vars=3, summands=3, atoms_per_guard=3, coeff_bound=3,
+                           infinity_prob=0.1, quantifiers=1)
+        nested = GenParams(vars=3, summands=3, atoms_per_guard=2, infinity_prob=0.1, quantifiers=2)
+        checked = 0
+        for params, seeds in ((single, range(40_000, 40_040)), (nested, range(60_000, 60_012))):
+            for seed in seeds:
+                for term in eliminate(random_quantity(params, seed)).body:
+                    for a in atoms(term.guard):
+                        assert print_bool(a) == _canonical_text(a)
+                        assert fold_atom(a) is a
+                        assert negate_atom(negate_atom(a)) is a
+                        checked += 1
+        assert checked > 1_000
+
+    def test_output_independent_of_op_order_and_hash_seed(self):
+        # the interning table and the caches outlive an op: run one slice
+        # forward and reversed in fresh interpreters under two hash seeds
+        src = str(Path(linquant.__file__).resolve().parents[1])
+        runs = []
+        for order, hash_seed in (("forward", "1"), ("reversed", "2")):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT, order], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs.append(json.loads(proc.stdout))
+        assert len(runs[0]) == 60
+        assert runs[0] == runs[1]
+
+    def test_deep_alternating_guard(self, default_recursion_limit):
+        # g alternates And/Or 5,000 levels deep over 0 < x < y: each And
+        # level conjoins x > -3 and each Or level adds x <= -1, so g is
+        # 0 < x < y || x <= -1, and its DNFs stay two disjuncts wide
+        g = And(atom(lin(0, x=1), ">", 0), atom(lin(0, x=1), "<", lin(0, y=1)))
+        for level in range(1, 5_001):
+            if level % 2:
+                g = And(atom(lin(0, x=1), ">", -3), g)
+            else:
+                g = Or(atom(lin(0, x=1), "<=", -1), g)
+        y = lin(0, y=1)
+        out = eliminate(Quantity(((Quant.SUP, "x"),), (GuardedTerm(g, y), GuardedTerm(Not(g), lin(0)))))
+        flat = Or(atom(lin(0, x=1), "<=", -1), And(atom(lin(0, x=1), ">", 0), atom(lin(0, x=1), "<", y)))
+        body = (GuardedTerm(flat, y), GuardedTerm(Not(flat), lin(0)))
+        for q in (-2, Fraction(-1, 3), 0, Fraction(1, 2), 3):
+            sigma = val(y=q)
+            assert ext_cmp(eval_quantity(sigma, out.body), oracle_sup(sigma, "x", body)) == 0
 
 
 class TestMetrics:
