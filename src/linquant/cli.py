@@ -83,6 +83,8 @@ def _quantity_from_json_text(text: str) -> Quantity:
     """Decode a JSON AST; any malformed input is a one-line ParseError."""
     try:
         return quantity_from_json(json.loads(text))
+    except ParseError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except KeyError as exc:

@@ -38,7 +38,8 @@ class NonLinearError(ParseError):
 
 class NotIsolated(LinquantError):
     """An atom mentioning the elimination variable is not of the shape
-    ``x ~ bound`` with the variable absent from the bound."""
+    ``x ~ bound`` with the variable absent from the bound, or a guard is not
+    in guarded normal form (an ``Or`` of ``And`` nodes of atoms)."""
 
 
 class NotPartitioning(LinquantError):

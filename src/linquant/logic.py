@@ -4,34 +4,31 @@ Inside the engine each inequality is one atom.  :func:`fold_atom` compiles
 an atom once into a row ``k*(dir.x) + c (<|<=) 0`` whose direction ``dir``
 is a primitive integer vector, and returns the one interned atom of that
 row: ``x < 1``, ``-x > -1`` and ``2*x < 2`` fold to the same object.  Its
-printed form is a function of the row alone (its first variable in name
-order isolated, e.g. ``y1 > y2 - 2``), and it carries its row and the
-interned atom of the complement row in slots, which :func:`conjoin`,
-:func:`negate_atom` and Fourier-Motzkin read (after Dutertre & de Moura
-2006, who canonicalise each linear form once).
+printed form is the row solved for its first variable in name order
+(``y1 > y2 - 2``), by the one solver that also isolates any other variable
+(:func:`isolate`).  It carries its row and the interned atom of the
+complement row in slots, which :func:`conjoin`, :func:`negate_atom` and
+Fourier-Motzkin read (after Dutertre & de Moura 2006, who canonicalise
+each linear form once).
 
 Satisfiability of a conjunction of atoms is decided exactly by iterated
 Fourier-Motzkin elimination over the integer rows, cached on the set of
 rows.  A system keeps one row per direction, the tightest of any parallel
 rows (strict wins a tie).  Eliminating a variable pairs each of its lower
 rows with each upper row under integer multipliers that cancel it; a
-variable-free row decides the system at once.  All arithmetic is on
-Python integers, so no verdict is approximate.  A satisfying valuation is
-read back by reversing the elimination order and picking a point inside
-each residual interval, computed with exact rationals from the rows of
-that stage.
+variable-free row decides the system at once.  The same step gives the
+residue of one variable (:func:`fm_residue`) as interned atoms.  All
+arithmetic is on Python integers, so no verdict is approximate.  A
+satisfying valuation is read back by reversing the elimination order and
+picking a point inside each residual interval.
 
 A guard becomes disjuncts in one place, :func:`to_dnf`, through one walk,
 ``_dnf``, that pushes negation inward as it goes and walks the arguments
 of each n-ary ``And``/``Or`` from an explicit stack.  A disjunct is a
-tuple of atoms.  Every layer that builds disjuncts extends one with
-:func:`conjoin`, which keeps one atom per row direction, the tightest, by
-the rule a system keeps for its rows; no other code above Fourier-Motzkin
-compares parallel atoms.
-Every DNF, :func:`to_dnf`'s, the cell walk's :func:`refine_dnf` states,
-the guarded normal form and the guards of merged terms, is kept minimal by
-one rule, :func:`absorb`: no disjunct's atoms include all of another's
-(absorption, McCluskey 1956).
+tuple of atoms, extended by :func:`conjoin`, which keeps one atom per row
+direction, the tightest, by the rule a system keeps for its rows.  Every
+DNF the engine builds is kept minimal by one rule, :func:`absorb`: no
+disjunct's atoms include all of another's (absorption, McCluskey 1956).
 The walk's states are not reduced (:func:`reduce_disjunct`); each emitted cell is.
 """
 
@@ -129,24 +126,20 @@ def fold_atom(atom: Atom) -> Atom | TrueExpr | FalseExpr:
 
 @lru_cache(maxsize=1 << 16)
 def isolate(atom: Atom, var: str) -> Atom:
-    """Rewrite a folded atom (two finite sides, as every :func:`to_dnf`
-    atom has) mentioning ``var`` into the shape ``var rel bound``, on the
-    same row; an interned atom is in that shape for its first variable.
+    """The atom's row solved for ``var`` (:func:`_solve`): ``var rel bound``,
+    keeping the row; for the row's first variable, its interned atom.
 
-    The bound never mentions ``var``; the relation flips when the collected
-    coefficient is negative and division is exact.  Atoms not mentioning
-    ``var`` (including ones where it cancels) come back ``var``-free.
+    An atom whose row lacks ``var`` (absent, or it cancels) comes back
+    ``var``-free: its row's interned atom, or ``-1 <= 0`` (true) or
+    ``1 <= 0`` (false) for a decidable row.
     """
-    lhs, rel, rhs = atom.lhs, atom.rel, atom.rhs
-    if var not in lhs.coeffs and var not in rhs.coeffs:
-        return atom
-    diff = lhs - rhs  # atom is equivalent to diff rel 0
-    c = diff.coeff(var)
-    if c == 0:
-        return Atom(diff, rel, LinExpr.const(0))
-    bound = diff.without(var).scale(Fraction(-1) / c)
-    new_rel = rel if c > 0 else rel.flipped
-    return Atom(LinExpr.var(var), new_rel, bound)
+    row = atom.row or _compile(atom)
+    d = row[0]
+    if not d:
+        return Atom(LinExpr.const(row[2]), Rel.LE, LinExpr.const(0))
+    if d[0][0] == var or all(v != var for v, _ in d):
+        return _ATOMS.get(row) or _intern(row)
+    return _solve(row, var)
 
 
 def is_isolated_in(atom: Atom, var: str) -> bool:
@@ -360,25 +353,27 @@ def _compile(atom: Atom) -> tuple:
 
 
 def _intern(row: tuple) -> Atom:
-    """The interned atom of a row with a variable, made together with the
-    interned atom of its complement row; each is the other's ``neg``."""
+    """The interned atom of a row with a variable, solved for its first
+    variable, made with its complement row's; each is the other's ``neg``."""
     d, k, c, strict = row
     comp = (tuple((v, -a) for v, a in d), k, -c, not strict)
-    atom, neg = _row_atom(row), _row_atom(comp)
-    atom.row, atom.neg, neg.row, neg.neg = row, neg, comp, atom
+    atom, neg = _solve(row, d[0][0]), _solve(comp, d[0][0])
+    atom.neg, neg.neg = neg, atom
     _ATOMS[row], _ATOMS[comp] = atom, neg
     return atom
 
 
-def _row_atom(row: tuple) -> Atom:
-    """The printed form of a row: its first variable ``v`` in name order
-    isolated, ``v rel bound``, the bound free of ``v``."""
+def _solve(row: tuple, var: str) -> Atom:
+    """The row solved for one of its variables: ``var rel bound``, the
+    bound free of ``var``, with the row in its ``row`` slot."""
     d, k, c, strict = row
-    (v, a), rest = d[0], d[1:]
-    # k*(a*v + rest.x) + c < 0 reads a*v < -(rest.x) - c/k
-    bound = LinExpr._raw(Fraction(-c, k * a), {u: Fraction(-b, a) for u, b in rest})
+    a = next(a for v, a in d if v == var)
+    # k*(a*var + rest.x) + c < 0 reads a*var < -(rest.x) - c/k
+    bound = LinExpr._raw(Fraction(-c, k * a), {u: Fraction(-b, a) for u, b in d if u != var})
     rel = (Rel.LT if strict else Rel.LE) if a > 0 else (Rel.GT if strict else Rel.GE)
-    return Atom(LinExpr.var(v), rel, bound)
+    atom = Atom(LinExpr.var(var), rel, bound)
+    atom.row = row
+    return atom
 
 
 def _normalize(coeffs: dict[str, int], const: int, strict: bool) -> tuple:
@@ -428,8 +423,9 @@ def _variables(system: dict) -> list[str]:
 
 
 def _fm_step(system: dict, var: str):
-    """Eliminate ``var``, which must precede every other variable of the
-    system in name order, so it leads each ``dir`` that mentions it.
+    """Eliminate ``var``, which must lead each ``dir`` that mentions it: it
+    precedes the system's other variables in name order, or
+    :func:`fm_residue` rotated it to the front.
 
     Returns ``(residue, lowers, uppers)`` where the bounds are the rows on
     ``var``; ``residue`` is None when a variable-free combination is false.
@@ -464,6 +460,23 @@ def _fm_step(system: dict, var: str):
             if row is not _TRUE_ROW:
                 _insert(residue, row)
     return residue, lowers, uppers
+
+
+def fm_residue(d: Disjunct, var: str) -> Disjunct | None:
+    """The interned atoms, one per direction, of one :func:`_fm_step` on
+    ``var`` over the disjunct's rows, each rotated to lead with ``var``: a
+    ``var``-free conjunction that holds exactly where some rational value of
+    ``var`` satisfies ``d``.  None when it is false."""
+    rows = []
+    for atom in d:
+        dirs, *rest = atom.row or _compile(atom)
+        # a stable sort: var first, the other variables still in name order
+        rows.append((tuple(sorted(dirs, key=lambda e: e[0] != var)), *rest))
+    system = _system(rows)
+    residue = None if system is None else _fm_step(system, var)[0]
+    if residue is None:
+        return None
+    return tuple(_ATOMS.get(row) or _intern(row) for row in residue.values())
 
 
 @lru_cache(maxsize=1 << 16)

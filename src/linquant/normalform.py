@@ -196,14 +196,10 @@ def _gnf_guard(guard: BoolExpr, var: str) -> BoolExpr:
     Disjuncts are reduced (the cache is keyed by the unreduced input, so
     most calls miss), then isolated, and the list is absorbed
     (:func:`~linquant.logic.absorb`), which keeps later per-disjunct
-    eliminations from multiplying.  Isolation keeps each atom equivalent,
-    unfoldable and on its row, so a disjunct stays satisfiable, reduced
-    and one atom per row direction, and needs no
-    :func:`~linquant.logic.conjoin`.  An isolated atom is a printed form
-    for this output only: it folds back to its row's interned atom
-    (:func:`~linquant.logic.fold_atom`), and an atom without ``var`` stays
-    the interned one.
-    """
+    eliminations from multiplying.  An isolated atom is its row solved for
+    ``var`` and keeps that row (:func:`~linquant.logic.isolate`), so each
+    disjunct stays satisfiable, reduced and one atom per row direction:
+    :func:`~linquant.qelim.eliminate_var` reads it as written."""
     disjuncts = [tuple(isolate(a, var) for a in reduce_disjunct(d)) for d in to_dnf(guard)]
     return dnf_to_bool(absorb(disjuncts))
 

@@ -88,6 +88,15 @@ def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
     return tokens, closes
 
 
+def read_name(word) -> str:
+    """``word``, if the tokenizer reads it as one variable name with nothing
+    around it (so not a keyword); else a :class:`ParseError`."""
+    tokens = _tokenize(word)[0] if isinstance(word, str) else ()
+    if len(tokens) != 2 or tokens[0][:2] != ("name", word):
+        raise ParseError(f"not a variable name: {word!r}", 1, 1)
+    return word
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LinquantError
+from .parser import read_name
 from .terms import (
     FALSE,
     NEG_OO,
@@ -128,7 +129,7 @@ def _expr_from_json(d) -> ExtLinExpr:
         return OO
     if d == "-oo":
         return NEG_OO
-    coeffs = {v: _rat_from_json(q) for v, q in d["coeffs"].items()}
+    coeffs = {read_name(v): _rat_from_json(q) for v, q in d["coeffs"].items()}
     return LinExpr(_rat_from_json(d["const"]), coeffs)
 
 
@@ -189,7 +190,7 @@ def quantity_to_json(q: Quantity) -> dict:
 def quantity_from_json(d: dict) -> Quantity:
     if d.get("kind") != "quantity":
         raise LinquantError("expected a quantity node")
-    prefix = tuple((Quant(quant), var) for quant, var in d["prefix"])
+    prefix = tuple((Quant(quant), read_name(var)) for quant, var in d["prefix"])
     body = tuple(
         GuardedTerm(_bool_from_json(t["guard"]), _expr_from_json(t["value"])) for t in d["body"]
     )

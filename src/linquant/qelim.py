@@ -3,15 +3,15 @@
 One quantifier is eliminated per round, innermost first.  A round works on
 the guarded-normal-form body in three layers:
 
-* per summand, split the DNF guard into disjuncts, isolating the variable
-  in their atoms again; the normal form keeps that DNF minimal (absorbed,
-  see :func:`~linquant.logic.absorb`), so no disjunct is eliminated whose
-  atoms include all of another's;
+* per summand, read the disjuncts of the normal form's guard as written:
+  reduced, isolated in the variable and absorbed (see
+  :func:`~linquant.logic.absorb`), so none is eliminated whose atoms
+  include all of another's;
 * per disjunct, build a quantifier-free equivalent from the bounds the
-  disjunct imposes on the variable: a feasibility constraint (the
-  Fourier-Motzkin residue), and each distinct bound that is the least upper
-  (or greatest lower) one somewhere, substituted into the value expression
-  with infinities honoured;
+  disjunct imposes on the variable: a feasibility constraint (its
+  Fourier-Motzkin residue, :func:`~linquant.logic.fm_residue`), and each
+  distinct bound that is the least upper (or greatest lower) one somewhere,
+  substituted into the value expression with infinities honoured;
 * recombine everything with a pointwise maximum (for sup) or minimum (for
   inf) of partitioning bodies: each cell of their product (walked by
   :func:`~linquant.normalform.cells`) keeps each distinct value that is the
@@ -36,11 +36,10 @@ from dataclasses import dataclass
 from .errors import IndexOutOfRange, NotIsolated, NotPartitioning
 from .logic import (
     absorb,
-    conjoin,
     dnf_to_bool,
     fold_atom,
+    fm_residue,
     is_isolated_in,
-    isolate,
     negate_atom,
     reduce_disjunct,
     refine_dnf,
@@ -53,6 +52,7 @@ from .terms import (
     NEG_OO,
     OO,
     TRUE,
+    And,
     Atom,
     BoolExpr,
     Disjunct,
@@ -60,6 +60,7 @@ from .terms import (
     GuardedTerm,
     InfExpr,
     LinExpr,
+    Or,
     Quant,
     Quantity,
     Rel,
@@ -117,47 +118,10 @@ def extract_bounds(d: Disjunct, var: str) -> BoundSets:
     )
 
 
-def _x_free_literals(d: Disjunct, var: str) -> list[Atom]:
-    return [
-        a for a in d if var not in fvars_expr(a.lhs) and var not in fvars_expr(a.rhs)
-    ]
-
-
-def _append_folded(atoms: list[Atom], atom: Atom) -> bool:
-    """Fold and append (repeats too); returns False when the atom folds to false."""
-    folded = fold_atom(atom)
-    if folded is FALSE:
-        return False
-    if folded is not TRUE:
-        atoms.append(folded)
-    return True
-
-
-def _feasibility_atoms(d: Disjunct, var: str, bounds: BoundSets) -> Disjunct | None:
-    """Atoms of the feasibility constraint, one per direction (see
-    :func:`~linquant.logic.conjoin`), or None when it folds to false."""
-    atoms: list[Atom] = []
-    pairs = (
-        (bounds.nonstrict_lower, bounds.nonstrict_upper, Rel.LE),
-        (bounds.nonstrict_lower, bounds.strict_upper, Rel.LT),
-        (bounds.strict_lower, bounds.nonstrict_upper, Rel.LT),
-        (bounds.strict_lower, bounds.strict_upper, Rel.LT),
-    )
-    for lows, highs, rel in pairs:
-        for lo in lows:
-            for hi in highs:
-                if not _append_folded(atoms, Atom(lo, rel, hi)):
-                    return None
-    for lit in _x_free_literals(d, var):
-        if not _append_folded(atoms, lit):
-            return None
-    return conjoin((), atoms)
-
-
 def feasibility(d: Disjunct, var: str) -> BoolExpr:
     """A ``var``-free guard equivalent to "some rational value of ``var``
-    satisfies the disjunct" (classical Fourier-Motzkin residue)."""
-    atoms = _feasibility_atoms(d, var, extract_bounds(d, var))
+    satisfies the disjunct" (its :func:`~linquant.logic.fm_residue`)."""
+    atoms = fm_residue(d, var)
     return FALSE if atoms is None else and_all(atoms)
 
 
@@ -176,9 +140,11 @@ def _selector_atoms(blist, i: int, upper: bool) -> list[Atom] | None:
     for k, other in enumerate(blist, start=1):
         if k == i:
             continue
-        rel = strict if k < i else nonstrict
-        if not _append_folded(atoms, Atom(chosen, rel, other)):
+        folded = fold_atom(Atom(chosen, strict if k < i else nonstrict, other))
+        if folded is FALSE:
             return None
+        if folded is not TRUE:
+            atoms.append(folded)
     return list(dict.fromkeys(atoms))
 
 
@@ -224,7 +190,7 @@ def eliminate_over_disjunct(
     """
     bounds = extract_bounds(d, var)
     default = NEG_OO if quant is Quant.SUP else OO
-    feas = _feasibility_atoms(d, var, bounds)
+    feas = fm_residue(d, var)
     if feas is None:
         return (GuardedTerm(TRUE, default),)
     terms: list[GuardedTerm] = []
@@ -314,16 +280,27 @@ def merge_equal_values(body: Body) -> Body:
     return _union((t.value, d) for t in body for d in to_dnf(t.guard))
 
 
-def eliminate_var(quant: Quant, var: str, body: Body) -> Body:
-    """One elimination round over a body already in GNF w.r.t. ``var``.
+def _gnf_disjuncts(guard: BoolExpr) -> list[Disjunct]:
+    """The disjuncts of a GNF guard as written: false, or an ``Or`` of
+    conjunctions (true, an atom or an ``And`` of atoms), or one of those."""
+    if guard == FALSE:
+        return []
+    disjuncts = []
+    for arg in guard.args if isinstance(guard, Or) else (guard,):
+        d = () if arg == TRUE else arg.args if isinstance(arg, And) else (arg,)
+        if not all(isinstance(a, Atom) for a in d):
+            raise NotIsolated(f"guard is not an Or of Ands of atoms: {guard!r}")
+        disjuncts.append(d)
+    return disjuncts
 
-    A guard's disjuncts come back from :func:`~linquant.logic.to_dnf` as
-    interned atoms, so their atoms are isolated in ``var`` again."""
-    tasks = [
-        (tuple(isolate(a, var) for a in d), term.value)
-        for term in body
-        for d in to_dnf(term.guard)
-    ]
+
+def eliminate_var(quant: Quant, var: str, body: Body) -> Body:
+    """One elimination round over a body in GNF w.r.t. ``var``, each guard
+    as :func:`~linquant.normalform.to_gnf` writes it: an ``Or`` of ``And``
+    nodes of atoms, whose disjuncts are eliminated as written.  Any other
+    shape (a ``Not``, an ``Or`` inside an ``And`` or after the first
+    argument of an ``Or``) raises :class:`NotIsolated`."""
+    tasks = [(d, term.value) for term in body for d in _gnf_disjuncts(term.guard)]
     if not tasks:
         return (ZERO_TERM,)
     sub_bodies = [eliminate_over_disjunct(quant, d, v, var) for d, v in tasks]
@@ -340,9 +317,9 @@ def eliminate(q: Quantity, *, simplify: bool = False) -> Quantity:
     Bodies between rounds stay partitioning; terms with equal values are
     merged between rounds to curb growth.  Combination and merging emit
     every guard as a minimal DNF of interned atoms, one per inequality,
-    which the next round still splits again through
-    :func:`~linquant.logic.to_dnf`, in its normal form and in
-    :func:`eliminate_var`.  The optional ``simplify`` pass additionally
+    which the next round's normal form splits once through
+    :func:`~linquant.logic.to_dnf`; :func:`eliminate_var` reads the normal
+    form's disjuncts as written.  The optional ``simplify`` pass additionally
     drops zero-valued and unsatisfiable terms from the final result (still
     semantics-preserving, but no longer partitioning); a quantifier-free
     input is made partitioning first, which that pass requires.

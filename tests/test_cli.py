@@ -24,6 +24,14 @@ def files(tmp_path):
     return write
 
 
+def _json_ast(binder: str, coeff: str) -> str:
+    """The JSON AST of ``sup binder : [true] * coeff`` (coefficient 1)."""
+    one = {"num": "1", "den": "1"}
+    value = {"kind": "lin", "const": {"num": "0", "den": "1"}, "coeffs": {coeff: one}}
+    term = {"kind": "term", "guard": {"kind": "true"}, "value": value}
+    return json.dumps({"kind": "quantity", "prefix": [["sup", binder]], "body": [term]})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -78,8 +86,18 @@ class TestElim:
             '{"kind": "quantity", "prefix": [',
             '{"kind": "x"}',
             '{"kind": "quantity", "prefix": [], "body": []}',
+            # variable names the grammar cannot read back
+            _json_ast("x", ""),
+            _json_ast("x", "1 x"),
+            _json_ast("x", "oo"),
+            _json_ast("", "x"),
+            _json_ast("x y", "x"),
+            _json_ast("sup", "x"),
         ],
-        ids=["missing-key", "truncated", "unknown-kind", "empty-body"],
+        ids=[
+            "missing-key", "truncated", "unknown-kind", "empty-body", "empty-coeff-name",
+            "non-name-coeff", "keyword-coeff", "empty-binder", "non-name-binder", "keyword-binder",
+        ],
     )
     def test_malformed_json_ast_exit_code(self, files, capsys, text):
         code, out, err = run(capsys, "elim", files("bad.json", text))

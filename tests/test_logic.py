@@ -345,6 +345,24 @@ class TestIsolate:
         result = isolate(a, "x")
         assert "x" not in result.lhs.fvars() | result.rhs.fvars()
 
+    def test_cancelling_to_a_decidable_row_is_an_atom(self):
+        for rhs, truth in ((lin(1, x=1), True), (lin(-1, x=1), False)):
+            result = isolate(atom(lin(0, x=1), "<=", rhs), "x")
+            assert isinstance(result, Atom) and not result.lhs.fvars() | result.rhs.fvars()
+            assert atom_eval(val(), result) is truth
+
+    def test_first_variable_returns_the_interned_atom(self):
+        interned = fold_atom(atom(lin(0, x=2, y=1), "<", 4))  # x < -1/2*y + 2
+        assert isolate(interned, "x") is interned
+        assert isolate(atom(lin(0, x=-2, y=-1), ">", -4), "x") is interned
+
+    def test_isolated_atom_keeps_its_row(self):
+        interned = fold_atom(atom(lin(0, x=2, y=1), "<", 4))
+        iso = isolate(interned, "y")
+        assert iso == atom(lin(0, y=1), "<", lin(4, x=-2))
+        assert iso.row == interned.row
+        assert fold_atom(iso) is interned
+
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
     def test_soundness_random(self, data):

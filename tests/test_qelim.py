@@ -121,16 +121,18 @@ class TestFeasibility:
         assert feasibility(d, "x") == atom(lin(0, y=1), "<", 1)
 
     def test_matches_solution_set_existence(self):
-        # cross-check the residue against direct interval analysis
+        # cross-check the residue against direct interval analysis; y and z
+        # follow x in name order, so their rows are rotated to lead with them
         rng = random.Random(7)
         from conftest import direct_bound_check, random_iso_disjunct
 
-        for _ in range(100):
-            d = random_iso_disjunct(rng, ["x", "y", "z"], "x")
-            phi = feasibility(d, "x")
+        for var in ("x", "y", "z") * 100:
+            d = random_iso_disjunct(rng, ["x", "y", "z"], var)
+            phi = feasibility(d, var)
+            assert all(a is fold_atom(a) for a in atoms(phi))
             for _ in range(5):
                 sigma = Valuation({v: Fraction(rng.randint(-12, 12), 4) for v in ("x", "y", "z")})
-                nonempty, _, _ = direct_bound_check(d, "x", sigma)
+                nonempty, _, _ = direct_bound_check(d, var, sigma)
                 assert bool_eval(sigma, phi) == nonempty
 
 
@@ -380,6 +382,20 @@ class TestEliminateVar:
         out = eliminate_var(Quant.INF, "x", gnf.body)
         for c in (-2, 0, 7):
             assert eval_quantity(val(c=c), out) == 3 * c
+
+    @pytest.mark.parametrize(
+        "guard",
+        [
+            Not(atom(lin(0, x=1), ">", 0)),
+            And(atom(lin(0, x=1), ">", 0), Or(atom(lin(0, y=1), ">", 0), atom(lin(0, y=1), "<", -1))),
+            Or(atom(lin(0, x=1), ">", 0), Or(atom(lin(0, y=1), ">", 0), atom(lin(0, y=1), "<", -1))),
+        ],
+        ids=["not", "or-in-and", "or-in-later-or-argument"],
+    )
+    def test_rejects_guard_not_in_gnf(self, guard):
+        # a GNF guard is read as written, an Or of Ands of atoms
+        with pytest.raises(NotIsolated):
+            eliminate_var(Quant.SUP, "x", (GuardedTerm(guard, LinExpr.var("x")),))
 
     def test_example_one_agrees_with_oracle(self, ex1):
         gnf = to_gnf(Quantity((), ex1.body), "x")

@@ -10,6 +10,8 @@ starts cold.  One line per corpus reports:
 
 * ``sat_misses`` / ``sat_calls``: misses and calls of the Fourier-Motzkin
   cache ``linquant.logic._sat_cached``, one miss per distinct system decided;
+* ``dnf_misses``: misses of the DNF cache ``linquant.logic._to_dnf_cached``,
+  one per distinct guard split into disjuncts;
 * ``interned``: entries of the interning table ``linquant.logic._ATOMS``,
   one atom per row (``-`` where the engine has none);
 * ``width`` / ``depth``: the summed output width and depth, as the
@@ -33,7 +35,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COLUMNS = ("sat_misses", "sat_calls", "interned", "width", "depth", "digest", "cpu_s", "peak_rss_mb")
+COLUMNS = ("sat_misses", "sat_calls", "dnf_misses", "interned", "width", "depth", "digest", "cpu_s", "peak_rss_mb")
 
 
 def one_pass(name: str) -> dict:
@@ -58,6 +60,7 @@ def one_pass(name: str) -> dict:
     return {
         "sat_misses": sat.misses,
         "sat_calls": sat.hits + sat.misses,
+        "dnf_misses": logic._to_dnf_cached.cache_info().misses,
         "interned": "-" if table is None else len(table),
         "width": total_width,
         "depth": total_depth,
